@@ -1,22 +1,28 @@
 //! Fault-injection campaigns: DelayAVF sweeps and particle-strike sAVF.
 //!
-//! # Sharded parallel engine
+//! # Work-stealing parallel engine
 //!
-//! Every injection is independent given the golden trace, so each campaign
-//! partitions its outermost sampling axis (cycles, or bits for the per-bit
-//! campaign) into contiguous shards and runs one worker per shard on
-//! [`std::thread::scope`] threads. Workers share the circuit, topology,
-//! timing model and golden run read-only (hence the `Send + Sync`
-//! supertrait on [`Environment`]) and each owns a private [`Injector`],
-//! whose fan-in/replay caches and cycle reconstruction are per-run mutable
-//! state.
+//! Every injection is independent given the golden trace, so every
+//! campaign cuts its trace-cycle axis into whole-cycle **work units** and
+//! runs them on [`std::thread::scope`] workers (`run_units`). Each worker
+//! builds one private [`Injector`] — its fan-in/replay caches and cycle
+//! reconstruction are per-run mutable state — and then claims unit indices
+//! from a shared atomic cursor, in cycle order, until none are left. Early
+//! cycles replay longest (their faults have the most program left to
+//! reach), so ascending order is already longest-first and the workers
+//! finish close together. Workers share the circuit, topology, timing
+//! model and golden run read-only (hence the `Send + Sync` supertrait on
+//! [`Environment`]).
 //!
-//! **Determinism:** parallel results are bit-for-bit identical to serial
-//! for any thread count. All counters are integers merged by addition in
-//! shard order, records are concatenated in shard order, and sharding by
-//! whole cycles keeps every cache-shareable replay (keys are scoped to one
-//! latch boundary) inside a single worker, so even the [`InjectorStats`]
-//! cache-hit counters are partition-independent.
+//! **Determinism:** results are bit-for-bit identical to serial for any
+//! thread count and any unit-to-worker assignment. Every unit returns its
+//! own contribution — result rows, counter deltas, records, visibility
+//! flags — into a slot indexed by unit, and the driver merges the slots in
+//! unit order: counters are integers merged by addition, records are
+//! concatenated in cycle order. Units are whole cycles and every
+//! cache-shareable replay is keyed to one latch boundary, so which worker
+//! ran a unit, and what it ran before, never changes that unit's
+//! [`InjectorStats`] delta — not even the cache-hit counters.
 //!
 //! # Latch-boundary conventions
 //!
@@ -34,21 +40,21 @@
 //!
 //! # Lane batching
 //!
-//! On top of sharding, every campaign groups the replays of one latch
-//! boundary into bit-parallel batches ([`Injector::prefill_failures`], up
-//! to [`ReplayOptions::lanes`] scenarios per pass over the netlist) before
+//! Within a unit, every campaign groups the replays of its latch boundary
+//! into bit-parallel batches ([`Injector::prefill_failures`], up to
+//! [`ReplayOptions::lanes`] scenarios per pass over the netlist) before
 //! running its unchanged scalar loop against the warmed cache — so tally
 //! and record order are exactly the sequential engine's, and `lanes = 1`
 //! (which turns prefilling into a no-op) reproduces its reports
-//! byte-identically. Batching composes with sharding: cycle-sharded
-//! campaigns keep each boundary's batches inside one worker, so the batch
-//! counters in [`InjectorStats`] merge thread-invariantly. The per-bit
-//! campaign shards over *bits* instead; its batch shapes depend on the
-//! partition, which is harmless because it exposes no stats — its results
-//! are still bit-for-bit deterministic.
+//! byte-identically. A unit is one boundary, so its batches never straddle
+//! workers and the batch counters in [`InjectorStats`] merge
+//! thread-invariantly. The per-bit campaign runs cycle units too: one
+//! all-bit prefill per boundary, with the per-cycle flags transposed into
+//! per-bit tallies at the end.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -73,7 +79,7 @@ pub struct ReplayOptions {
     /// Extra cycles past the golden program length before a non-halting
     /// faulty run is declared a DUE.
     pub due_slack: u64,
-    /// Worker threads for the sharded engine. `0` (the default) resolves
+    /// Worker threads for the campaign engine. `0` (the default) resolves
     /// to [`std::thread::available_parallelism`]. Results are identical
     /// for every value; only wall-clock time changes.
     pub threads: usize,
@@ -219,7 +225,7 @@ pub struct CampaignConfig {
     /// Extra cycles past the golden program length before a non-halting
     /// faulty run is declared a DUE.
     pub due_slack: u64,
-    /// Worker threads for the sharded engine. `0` (the default) resolves
+    /// Worker threads for the campaign engine. `0` (the default) resolves
     /// to [`std::thread::available_parallelism`]. Results are identical
     /// for every value; only wall-clock time changes.
     pub threads: usize,
@@ -266,6 +272,23 @@ impl Default for CampaignConfig {
 }
 
 impl CampaignConfig {
+    /// The engine knobs of this configuration (everything but the sweep
+    /// parameters) as [`ReplayOptions`].
+    fn replay_options(&self) -> ReplayOptions {
+        ReplayOptions {
+            due_slack: self.due_slack,
+            threads: self.threads,
+            incremental: self.incremental,
+            delta_timing: self.delta_timing,
+            lanes: self.lanes,
+            timing_lanes: self.timing_lanes,
+            collapse: self.collapse,
+            ci_target: self.ci_target,
+            strata: self.strata,
+            sample_seed: self.sample_seed,
+        }
+    }
+
     /// A configuration sweeping a single delay fraction.
     pub fn single_delay(fraction: f64) -> Self {
         CampaignConfig {
@@ -333,29 +356,6 @@ impl CampaignConfig {
     }
 }
 
-/// A worker's private injector, with the shard-invariant knobs applied.
-#[allow(clippy::too_many_arguments)]
-fn shard_injector<'g, E: Environment + Clone>(
-    circuit: &'g Circuit,
-    topo: &'g Topology,
-    timing: &'g TimingModel,
-    golden: &'g GoldenRun<E>,
-    due_slack: u64,
-    incremental: bool,
-    delta_timing: bool,
-    lanes: usize,
-    timing_lanes: usize,
-    collapse: bool,
-) -> Injector<'g, E> {
-    let mut injector = Injector::new(circuit, topo, timing, golden, due_slack);
-    injector.set_incremental(incremental);
-    injector.set_delta_timing(delta_timing);
-    injector.set_lanes(lanes);
-    injector.set_timing_lanes(timing_lanes);
-    injector.set_collapse(collapse);
-    injector
-}
-
 /// The sampled cycles on which injection is well-defined: cycle 0 has no
 /// preceding settled state to simulate from, and the final trace cycle has
 /// no successor boundary to classify at. Every campaign filters through
@@ -370,7 +370,7 @@ pub fn valid_cycles<E: Environment + Clone>(golden: &GoldenRun<E>) -> Vec<u64> {
 }
 
 /// Resolves a requested thread count: `0` means one per available core,
-/// and no campaign spawns more workers than it has shardable items.
+/// and no campaign spawns more workers than it has work units.
 fn resolve_threads(requested: usize, items: usize) -> usize {
     let t = if requested == 0 {
         thread::available_parallelism()
@@ -382,33 +382,67 @@ fn resolve_threads(requested: usize, items: usize) -> usize {
     t.clamp(1, items.max(1))
 }
 
-/// Runs `work` over contiguous shards of `items` on scoped threads and
-/// returns the per-shard results **in shard order** (which is what makes
-/// order-sensitive merges — record concatenation — deterministic). The
-/// closure additionally receives its shard index, which the observability
-/// layer stamps into heartbeats.
-fn run_sharded<T, R, F>(threads: usize, items: &[T], work: F) -> Vec<R>
+/// Runs `unit` over `items` on exactly `threads` workers and returns the
+/// results in item order.
+///
+/// Each worker builds its state once with `init(worker)`, then claims unit
+/// indices from a shared atomic cursor in item order, and hands its state
+/// to `finish` when no unit is left. Results are slotted by unit index, so
+/// the output does not depend on which worker ran what. A failing unit
+/// stops every worker from claiming more; indices are claimed in order, so
+/// every unit below the failure has run and the error returned is the
+/// lowest-index one.
+fn run_units<T, W, U>(
+    threads: usize,
+    items: &[T],
+    init: impl Fn(usize) -> W + Sync,
+    unit: impl Fn(&mut W, &T) -> Result<U, String> + Sync,
+    finish: impl Fn(W) + Sync,
+) -> Result<Vec<U>, String>
 where
     T: Sync,
-    R: Send,
-    F: Fn(usize, &[T]) -> R + Sync,
+    U: Send,
 {
-    if threads <= 1 || items.len() <= 1 {
-        return vec![work(0, items)];
+    let cursor = AtomicUsize::new(0);
+    let failed = AtomicBool::new(false);
+    let work = |worker: usize| {
+        let mut state = init(worker);
+        let mut done = Vec::new();
+        while !failed.load(Ordering::Relaxed) {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else { break };
+            let result = unit(&mut state, item);
+            if result.is_err() {
+                failed.store(true, Ordering::Relaxed);
+            }
+            done.push((i, result));
+        }
+        finish(state);
+        done
+    };
+    let per_worker: Vec<Vec<(usize, Result<U, String>)>> = if threads <= 1 {
+        vec![work(0)]
+    } else {
+        thread::scope(|scope| {
+            let work = &work;
+            let handles: Vec<_> = (0..threads)
+                .map(|worker| scope.spawn(move || work(worker)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("campaign worker panicked"))
+                .collect()
+        })
+    };
+    let mut slots: Vec<Option<Result<U, String>>> = items.iter().map(|_| None).collect();
+    for (i, result) in per_worker.into_iter().flatten() {
+        slots[i] = Some(result);
     }
-    let shard_len = items.len().div_ceil(threads);
-    thread::scope(|scope| {
-        let work = &work;
-        let handles: Vec<_> = items
-            .chunks(shard_len)
-            .enumerate()
-            .map(|(i, shard)| scope.spawn(move || work(i, shard)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("campaign worker panicked"))
-            .collect()
-    })
+    // Collecting stops at the first `Err`, before any unclaimed slot.
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every unit below the first failure ran"))
+        .collect()
 }
 
 /// Observability context threaded through the `*_observed` campaign entry
@@ -510,81 +544,213 @@ fn campaign_fingerprint<E: Environment + Clone>(
 /// drift must be rejected. With adaptive sampling off the trio is inert
 /// and deliberately excluded — changing an unused `strata` default must
 /// not invalidate a uniform run's checkpoint.
-#[allow(clippy::too_many_arguments)]
-fn knob_hash(
-    lanes: usize,
-    timing_lanes: usize,
-    incremental: bool,
-    delta_timing: bool,
-    collapse: bool,
-    ci_target: Option<f64>,
-    strata: usize,
-    sample_seed: u64,
-) -> u64 {
+fn knob_hash(opts: &ReplayOptions) -> u64 {
     let mut f = Fingerprint::new();
-    f.write_usize(lanes);
-    f.write_usize(timing_lanes);
-    f.write_bool(incremental);
-    f.write_bool(delta_timing);
-    f.write_bool(collapse);
-    match ci_target {
+    f.write_usize(opts.lanes);
+    f.write_usize(opts.timing_lanes);
+    f.write_bool(opts.incremental);
+    f.write_bool(opts.delta_timing);
+    f.write_bool(opts.collapse);
+    match opts.ci_target {
         None => f.write_bool(false),
         Some(target) => {
             f.write_bool(true);
             f.write_f64(target);
-            f.write_usize(strata);
-            f.write_u64(sample_seed);
+            f.write_usize(opts.strata);
+            f.write_u64(opts.sample_seed);
         }
     }
     f.finish()
 }
 
-/// The opened (or absent) checkpoint side of one observed campaign run.
-struct ObservedSetup {
+/// One observed campaign run: the read-only inputs every worker shares,
+/// the engine knobs, the valid cycles, and the telemetry and checkpoint
+/// side opened under the campaign's `kind`.
+struct Driver<'a, E: Environment + Clone, S: TelemetrySink> {
+    kind: &'static str,
+    circuit: &'a Circuit,
+    topo: &'a Topology,
+    timing: &'a TimingModel,
+    golden: &'a GoldenRun<E>,
+    opts: ReplayOptions,
+    telemetry: &'a S,
+    cycles: Vec<u64>,
     store: Option<Mutex<CheckpointStore>>,
     /// Snapshot of the resumed units, readable without locking the store.
     resumed: BTreeMap<u64, String>,
 }
 
-fn open_store(
-    checkpoint: &Option<CheckpointSpec>,
-    kind: &str,
-    fingerprint: u64,
-    knobs: u64,
-) -> Result<ObservedSetup, String> {
-    match checkpoint {
-        None => Ok(ObservedSetup {
-            store: None,
-            resumed: BTreeMap::new(),
-        }),
-        Some(spec) => {
-            let store = CheckpointStore::open(spec, kind, fingerprint, knobs)?;
-            let resumed = store.resumed_units().clone();
-            Ok(ObservedSetup {
-                store: Some(Mutex::new(store)),
-                resumed,
-            })
+/// A worker's private state, built once per worker of a [`Driver::run`].
+struct Worker<'w, E: Environment + Clone, S: TelemetrySink> {
+    injector: Injector<'w, E>,
+    obs: ShardObserver<'w, S>,
+}
+
+impl<'a, E: Environment + Clone, S: TelemetrySink> Driver<'a, E, S> {
+    /// Opens (or resumes) the checkpoint of a `kind` campaign over
+    /// `items` (edge or flip-flop indices). `fractions` and `orace` are
+    /// the sweep parameters, empty and `false` for the strike campaigns.
+    #[allow(clippy::too_many_arguments)]
+    fn open(
+        kind: &'static str,
+        circuit: &'a Circuit,
+        topo: &'a Topology,
+        timing: &'a TimingModel,
+        golden: &'a GoldenRun<E>,
+        opts: ReplayOptions,
+        ctx: &RunContext<'a, S>,
+        items: &[usize],
+        fractions: &[f64],
+        orace: bool,
+    ) -> Result<Self, String> {
+        let cycles = valid_cycles(golden);
+        let (store, resumed) = match &ctx.checkpoint {
+            None => (None, BTreeMap::new()),
+            Some(spec) => {
+                let fingerprint = campaign_fingerprint(
+                    kind,
+                    circuit,
+                    timing,
+                    golden,
+                    &cycles,
+                    items,
+                    fractions,
+                    opts.due_slack,
+                    orace,
+                );
+                let store = CheckpointStore::open(spec, kind, fingerprint, knob_hash(&opts))?;
+                let resumed = store.resumed_units().clone();
+                (Some(Mutex::new(store)), resumed)
+            }
+        };
+        Ok(Driver {
+            kind,
+            circuit,
+            topo,
+            timing,
+            golden,
+            opts,
+            telemetry: ctx.telemetry,
+            cycles,
+            store,
+            resumed,
+        })
+    }
+
+    /// A worker's private injector, with the campaign's knobs applied.
+    fn injector(&self) -> Injector<'a, E> {
+        let o = &self.opts;
+        let mut injector = Injector::new(
+            self.circuit,
+            self.topo,
+            self.timing,
+            self.golden,
+            o.due_slack,
+        );
+        injector.set_incremental(o.incremental);
+        injector.set_delta_timing(o.delta_timing);
+        injector.set_lanes(o.lanes);
+        injector.set_timing_lanes(o.timing_lanes);
+        injector.set_collapse(o.collapse);
+        injector
+    }
+
+    /// Whether completed units must be serialized for the checkpoint.
+    fn checkpointing(&self) -> bool {
+        self.store.is_some()
+    }
+
+    /// The stored payload of unit `key`, if it was resumed.
+    fn resumed(&self, key: u64) -> Option<&str> {
+        self.resumed.get(&key).map(String::as_str)
+    }
+
+    /// Runs `unit` over `items` on [`run_units`] workers, each with its own
+    /// injector and observer, and returns the results in item order.
+    fn run<T: Sync, U: Send>(
+        &self,
+        items: &[T],
+        unit: impl Fn(&mut Worker<'_, E, S>, &T) -> Result<U, String> + Sync,
+    ) -> Result<Vec<U>, String> {
+        let progress = Progress {
+            done: AtomicUsize::new(0),
+            total: items.len(),
+            started: S::ENABLED.then(Instant::now),
+        };
+        let store = self.store.as_ref();
+        run_units(
+            resolve_threads(self.opts.threads, items.len()),
+            items,
+            |worker| Worker {
+                injector: self.injector(),
+                obs: ShardObserver::new(self.telemetry, store, &progress, worker),
+            },
+            unit,
+            |w| w.obs.finish(),
+        )
+    }
+
+    /// Emits a `campaign_start` for `units` units, runs `body`, performs
+    /// the final checkpoint flush and emits the matching `campaign_end`.
+    fn observe<R>(
+        &self,
+        units: usize,
+        body: impl FnOnce() -> Result<R, String>,
+    ) -> Result<R, String> {
+        let t0 = S::ENABLED.then(Instant::now);
+        if S::ENABLED {
+            self.telemetry.emit(&TelemetryEvent::CampaignStart {
+                campaign: self.kind,
+                units,
+                threads: resolve_threads(self.opts.threads, self.cycles.len()),
+                resumed_units: self.resumed.len(),
+            });
         }
+        let result = body()?;
+        if let Some(store) = &self.store {
+            store
+                .lock()
+                .map_err(|_| "checkpoint store poisoned".to_string())?
+                .flush()?;
+        }
+        if S::ENABLED {
+            let wall_ms = t0.map_or(0, |t| t.elapsed().as_millis() as u64);
+            self.telemetry.emit(&TelemetryEvent::CampaignEnd {
+                campaign: self.kind,
+                units,
+                wall_ms,
+            });
+        }
+        Ok(result)
     }
 }
 
-/// Minimum spacing of intermediate heartbeats (a shard's first and last
-/// units always beat).
+/// Minimum spacing of a worker's intermediate heartbeats (its first unit
+/// and the campaign's last unit always beat).
 const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(250);
+
+/// Progress shared by the workers of one [`Driver::run`] (the whole
+/// campaign, or one adaptive round): units done, units in total, and the
+/// clock the heartbeat rates are measured on. Only touched when the sink
+/// is enabled.
+struct Progress {
+    done: AtomicUsize,
+    total: usize,
+    started: Option<Instant>,
+}
 
 /// Per-worker observability state: emits heartbeats/stats deltas, records
 /// completed units into the shared checkpoint store, and accumulates the
-/// shard's phase timers. All clock reads are gated on `S::ENABLED`, so a
+/// worker's phase timers. All clock reads are gated on `S::ENABLED`, so a
 /// disabled sink never touches a clock.
 struct ShardObserver<'a, S: TelemetrySink> {
     telemetry: &'a S,
     store: Option<&'a Mutex<CheckpointStore>>,
+    progress: &'a Progress,
     shard: usize,
-    total: usize,
-    done: usize,
-    started: Option<Instant>,
     last_beat: Option<Instant>,
-    pending_stats: InjectorStats,
+    /// Counter deltas not yet emitted as a `stats_delta`.
+    pending_stats: Option<InjectorStats>,
     phases: PhaseTotals,
 }
 
@@ -592,18 +758,16 @@ impl<'a, S: TelemetrySink> ShardObserver<'a, S> {
     fn new(
         telemetry: &'a S,
         store: Option<&'a Mutex<CheckpointStore>>,
+        progress: &'a Progress,
         shard: usize,
-        total: usize,
     ) -> Self {
         ShardObserver {
             telemetry,
             store,
+            progress,
             shard,
-            total,
-            done: 0,
-            started: S::ENABLED.then(Instant::now),
             last_beat: None,
-            pending_stats: InjectorStats::default(),
+            pending_stats: None,
             phases: PhaseTotals::default(),
         }
     }
@@ -617,7 +781,6 @@ impl<'a, S: TelemetrySink> ShardObserver<'a, S> {
         payload: Option<String>,
         stats_delta: Option<&InjectorStats>,
     ) -> Result<(), String> {
-        self.done += 1;
         if let (Some(store), Some(payload)) = (self.store, payload) {
             let mut store = store
                 .lock()
@@ -632,42 +795,49 @@ impl<'a, S: TelemetrySink> ShardObserver<'a, S> {
         }
         if S::ENABLED {
             if let Some(delta) = stats_delta {
-                self.pending_stats.merge(delta);
+                self.pending_stats.get_or_insert_default().merge(delta);
             }
+            let done = self.progress.done.fetch_add(1, Ordering::Relaxed) + 1;
+            let total = self.progress.total;
             let now = Instant::now();
-            let due = self.done == 1
-                || self.done == self.total
+            let due = done == total
                 || self
                     .last_beat
                     .is_none_or(|t| now.duration_since(t) >= HEARTBEAT_INTERVAL);
             if due {
                 self.last_beat = Some(now);
                 let elapsed = self
+                    .progress
                     .started
                     .map_or(0.0, |s| now.duration_since(s).as_secs_f64());
-                let (units_per_sec, eta_s) = heartbeat_rates(self.done, self.total, elapsed);
+                let (units_per_sec, eta_s) = heartbeat_rates(done, total, elapsed);
                 self.telemetry.emit(&TelemetryEvent::ShardHeartbeat {
                     shard: self.shard,
-                    done: self.done,
-                    total: self.total,
+                    done,
+                    total,
                     units_per_sec,
                     eta_s,
                 });
-                if stats_delta.is_some() {
-                    self.telemetry.emit(&TelemetryEvent::StatsDelta {
-                        shard: self.shard,
-                        stats: self.pending_stats,
-                    });
-                    self.pending_stats = InjectorStats::default();
-                }
+                self.flush_stats();
             }
         }
         Ok(())
     }
 
-    /// Emits the shard's phase-timer totals (once, when the shard ends).
-    fn finish(self) {
+    fn flush_stats(&mut self) {
+        if let Some(stats) = self.pending_stats.take() {
+            self.telemetry.emit(&TelemetryEvent::StatsDelta {
+                shard: self.shard,
+                stats,
+            });
+        }
+    }
+
+    /// Flushes the pending stats delta and emits the worker's phase-timer
+    /// totals (once, when the worker runs out of units).
+    fn finish(mut self) {
         if S::ENABLED {
+            self.flush_stats();
             self.telemetry.emit(&TelemetryEvent::PhaseTimers {
                 shard: self.shard,
                 phases: self.phases,
@@ -677,7 +847,7 @@ impl<'a, S: TelemetrySink> ShardObserver<'a, S> {
 }
 
 /// Heartbeat rate math: `(units_per_sec, eta_s)` from the units completed,
-/// the shard total and the elapsed seconds. Degenerate inputs — zero
+/// the campaign total and the elapsed seconds. Degenerate inputs — zero
 /// elapsed time on an instantaneous first unit, or zero completed units —
 /// yield `0.0` rather than NaN/∞: the JSONL layer would render non-finite
 /// numbers as `0.000` anyway, but never producing them keeps `eta_s`
@@ -708,43 +878,6 @@ fn timed<T>(enabled: bool, acc: &mut u64, f: impl FnOnce() -> T) -> T {
     } else {
         f()
     }
-}
-
-/// Emits a `campaign_start`, runs `body`, emits the matching
-/// `campaign_end`, and performs the final checkpoint flush.
-fn observe_campaign<R, S: TelemetrySink>(
-    ctx: &RunContext<'_, S>,
-    setup: &ObservedSetup,
-    campaign: &str,
-    units: usize,
-    threads: usize,
-    body: impl FnOnce() -> Result<R, String>,
-) -> Result<R, String> {
-    let t0 = S::ENABLED.then(Instant::now);
-    if S::ENABLED {
-        ctx.telemetry.emit(&TelemetryEvent::CampaignStart {
-            campaign,
-            units,
-            threads,
-            resumed_units: setup.resumed.len(),
-        });
-    }
-    let result = body()?;
-    if let Some(store) = &setup.store {
-        store
-            .lock()
-            .map_err(|_| "checkpoint store poisoned".to_string())?
-            .flush()?;
-    }
-    if S::ENABLED {
-        let wall_ms = t0.map_or(0, |t| t.elapsed().as_millis() as u64);
-        ctx.telemetry.emit(&TelemetryEvent::CampaignEnd {
-            campaign,
-            units,
-            wall_ms,
-        });
-    }
-    Ok(result)
 }
 
 // ---------------------------------------------------------------------------
@@ -916,89 +1049,68 @@ fn decode_rows(t: &mut Tokens<'_>, config: &CampaignConfig) -> Result<Vec<DelayA
     Ok(rows)
 }
 
-fn encode_delay_unit(
+/// A sweep unit's payload: its result rows, then — adaptive units only —
+/// the per-site visibility flags (fraction-major over the unit's selected
+/// edges, `1` = visible) the plan's stratum tallies are rebuilt from on
+/// resume, then its counter delta and failure-cache entries.
+fn encode_sweep_unit(
     rows: &[DelayAvfResult],
+    vis: Option<&[bool]>,
     stats: &InjectorStats,
     failures: &[(Vec<DffId>, FailureClass)],
 ) -> String {
     let mut out = String::new();
     encode_rows(&mut out, rows);
-    encode_stats(&mut out, stats);
-    encode_failures(&mut out, failures);
-    out
-}
-
-type DelayUnit = (
-    Vec<DelayAvfResult>,
-    InjectorStats,
-    Vec<(Vec<DffId>, FailureClass)>,
-);
-
-fn decode_delay_unit(payload: &str, config: &CampaignConfig) -> Result<DelayUnit, String> {
-    let mut t = Tokens::new(payload);
-    let rows = decode_rows(&mut t, config)?;
-    let stats = decode_stats(&mut t)?;
-    let failures = decode_failures(&mut t)?;
-    if !t.finished() {
-        return Err("checkpoint parse error: trailing payload tokens".into());
+    if let Some(vis) = vis {
+        out.push_str(" vis .");
+        out.extend(vis.iter().map(|&v| if v { '1' } else { '0' }));
     }
-    Ok((rows, stats, failures))
-}
-
-/// Adaptive sweep units additionally persist the per-site visibility
-/// flags (fraction-major over the unit's selected edges, `1` = visible)
-/// the plan's stratum tallies are rebuilt from on resume.
-fn encode_adaptive_sweep_unit(
-    rows: &[DelayAvfResult],
-    vis: &[bool],
-    stats: &InjectorStats,
-    failures: &[(Vec<DffId>, FailureClass)],
-) -> String {
-    let mut out = String::new();
-    encode_rows(&mut out, rows);
-    out.push_str(" vis .");
-    out.extend(vis.iter().map(|&v| if v { '1' } else { '0' }));
     encode_stats(&mut out, stats);
     encode_failures(&mut out, failures);
     out
 }
 
-type AdaptiveSweepUnit = (
+type SweepPayload = (
     Vec<DelayAvfResult>,
     Vec<bool>,
     InjectorStats,
     Vec<(Vec<DffId>, FailureClass)>,
 );
 
-fn decode_adaptive_sweep_unit(
+/// Decodes an [`encode_sweep_unit`] payload. `sites` is an adaptive
+/// unit's selected-edge count; uniform units (`None`) carry no flags.
+fn decode_sweep_unit(
     payload: &str,
     config: &CampaignConfig,
-    expected_sites: usize,
-) -> Result<AdaptiveSweepUnit, String> {
+    sites: Option<usize>,
+) -> Result<SweepPayload, String> {
     let mut t = Tokens::new(payload);
     let rows = decode_rows(&mut t, config)?;
-    t.expect("vis")?;
-    let tok = t.next_str("visibility string")?;
-    let body = tok
-        .strip_prefix('.')
-        .ok_or_else(|| format!("checkpoint parse error: bad visibility string `{tok}`"))?;
-    let vis: Vec<bool> = body
-        .chars()
-        .map(|c| match c {
-            '1' => Ok(true),
-            '0' => Ok(false),
-            other => Err(format!(
-                "checkpoint parse error: bad visibility flag `{other}`"
-            )),
-        })
-        .collect::<Result<_, _>>()?;
-    if vis.len() != expected_sites * config.delay_fractions.len() {
-        return Err(format!(
-            "checkpoint parse error: {} visibility flags != {} sites × {} fractions",
-            vis.len(),
-            expected_sites,
-            config.delay_fractions.len()
-        ));
+    let mut vis = Vec::new();
+    if let Some(sites) = sites {
+        t.expect("vis")?;
+        let tok = t.next_str("visibility string")?;
+        let body = tok
+            .strip_prefix('.')
+            .ok_or_else(|| format!("checkpoint parse error: bad visibility string `{tok}`"))?;
+        vis = body
+            .chars()
+            .map(|c| match c {
+                '1' => Ok(true),
+                '0' => Ok(false),
+                other => Err(format!(
+                    "checkpoint parse error: bad visibility flag `{other}`"
+                )),
+            })
+            .collect::<Result<_, _>>()?;
+        if vis.len() != sites * config.delay_fractions.len() {
+            return Err(format!(
+                "checkpoint parse error: {} visibility flags != {} sites × {} fractions",
+                vis.len(),
+                sites,
+                config.delay_fractions.len()
+            ));
+        }
     }
     let stats = decode_stats(&mut t)?;
     let failures = decode_failures(&mut t)?;
@@ -1093,15 +1205,16 @@ fn decode_records_unit(payload: &str, cycle: u64) -> Result<RecordsUnit, String>
     Ok((records, failures))
 }
 
-/// Per-bit payloads store each cycle's classification as one character,
-/// with a leading `.` so an empty cycle list still yields a token.
+/// Per-bit payloads store one classification character per flip-flop of
+/// the structure at the unit's cycle, with a leading `.` so an empty
+/// flip-flop list still yields a token.
 fn encode_per_bit_unit<E: Environment + Clone>(
     injector: &Injector<'_, E>,
-    dff: DffId,
-    cycles: &[u64],
+    dffs: &[DffId],
+    cycle: u64,
 ) -> String {
     let mut out = String::from("cls .");
-    for &cycle in cycles {
+    for &dff in dffs {
         let class = injector
             .cached_failure(cycle, &[dff])
             .expect("per-bit unit was just classified");
@@ -1125,24 +1238,6 @@ fn decode_per_bit_unit(payload: &str, expected: usize) -> Result<Vec<FailureClas
         ));
     }
     Ok(classes)
-}
-
-/// Per-cycle payloads of the *adaptive* per-bit campaign: one class per
-/// flip-flop of the structure at a single cycle (the transpose of the
-/// legacy per-bit unit).
-fn encode_per_bit_cycle_unit<E: Environment + Clone>(
-    injector: &Injector<'_, E>,
-    dffs: &[DffId],
-    cycle: u64,
-) -> String {
-    let mut out = String::from("cls .");
-    for &dff in dffs {
-        let class = injector
-            .cached_failure(cycle, &[dff])
-            .expect("per-bit cycle unit was just classified");
-        out.push(encode_class(class));
-    }
-    out
 }
 
 fn merge_rows(into: &mut [DelayAvfResult], from: &[DelayAvfResult]) {
@@ -1188,29 +1283,15 @@ fn empty_rows(config: &CampaignConfig) -> Vec<DelayAvfResult> {
 }
 
 /// One DelayAVF work unit: the full fraction sweep at a single trace
-/// cycle. Cycle-outer iteration makes every unit's contribution (row
-/// deltas, counter deltas, the failure-cache entries at boundary
-/// `cycle + 1`) independent of which other units ran — the invariant the
-/// checkpoint layer builds on — and lets all fractions share one golden
-/// waveform build and one cycle reconstruction.
-fn delay_sweep_unit<E: Environment + Clone>(
-    injector: &mut Injector<'_, E>,
-    timing: &TimingModel,
-    edges: &[EdgeId],
-    config: &CampaignConfig,
-    cycle: u64,
-    time_phases: bool,
-    phases: &mut PhaseTotals,
-) -> Vec<DelayAvfResult> {
-    delay_sweep_unit_vis(injector, timing, edges, config, cycle, time_phases, phases).0
-}
-
-/// [`delay_sweep_unit`] additionally returning each injection's
+/// cycle, returning the result rows and each injection's
 /// program-visibility flag in tally order (fraction-major, edge-minor) —
 /// the per-site signal the adaptive sampler's stratum tallies consume.
-/// The shared body keeps the two paths' accounting identical by
-/// construction.
-fn delay_sweep_unit_vis<E: Environment + Clone>(
+/// Cycle-outer iteration makes every unit's contribution (row deltas,
+/// counter deltas, the failure-cache entries at boundary `cycle + 1`)
+/// independent of which other units ran — the invariant the checkpoint
+/// layer builds on — and lets all fractions share one golden waveform
+/// build and one cycle reconstruction.
+fn delay_sweep_unit<E: Environment + Clone>(
     injector: &mut Injector<'_, E>,
     timing: &TimingModel,
     edges: &[EdgeId],
@@ -1291,6 +1372,224 @@ fn delay_sweep_unit_vis<E: Environment + Clone>(
     (rows, vis)
 }
 
+// ---------------------------------------------------------------------------
+// Work units. Each campaign's unit body is shared by its uniform and its
+// adaptive driver: it restores the unit from the checkpoint when resumed,
+// otherwise computes it, serializes it when checkpointing, and reports it
+// to the worker's observer. Every body first drops the worker's golden
+// settles behind its cycle: a worker claims units in ascending cycle order,
+// so without this each worker would keep golden caches for the whole trace.
+// ---------------------------------------------------------------------------
+
+/// A sweep unit's contribution: result rows, visibility flags in tally
+/// order, and the counter delta.
+type SweepUnit = (Vec<DelayAvfResult>, Vec<bool>, InjectorStats);
+
+/// The sweep unit keyed `key`: every fraction over `edges` at `cycle`.
+/// Adaptive units (`with_vis`) persist their visibility flags too.
+#[allow(clippy::too_many_arguments)]
+fn sweep_unit<E: Environment + Clone, S: TelemetrySink>(
+    d: &Driver<'_, E, S>,
+    w: &mut Worker<'_, E, S>,
+    config: &CampaignConfig,
+    key: u64,
+    cycle: u64,
+    edges: &[EdgeId],
+    with_vis: bool,
+) -> Result<SweepUnit, String> {
+    w.injector.release_golden_before(cycle);
+    if let Some(payload) = d.resumed(key) {
+        let (rows, vis, stats, failures) =
+            decode_sweep_unit(payload, config, with_vis.then_some(edges.len()))?;
+        w.injector.preload_failures(cycle + 1, failures);
+        w.obs.unit_done(key, None, Some(&stats))?;
+        return Ok((rows, vis, stats));
+    }
+    let before = w.injector.stats;
+    let (rows, vis) = delay_sweep_unit(
+        &mut w.injector,
+        d.timing,
+        edges,
+        config,
+        cycle,
+        S::ENABLED,
+        &mut w.obs.phases,
+    );
+    let delta = w.injector.stats.delta_since(&before);
+    let payload = d.checkpointing().then(|| {
+        encode_sweep_unit(
+            &rows,
+            with_vis.then_some(&vis[..]),
+            &delta,
+            &w.injector.snapshot_failures(cycle + 1),
+        )
+    });
+    w.obs.unit_done(key, payload, Some(&delta))?;
+    Ok((rows, vis, delta))
+}
+
+/// The sAVF unit at `cycle`: a single-bit strike on each of `dffs`.
+fn savf_unit<E: Environment + Clone, S: TelemetrySink>(
+    d: &Driver<'_, E, S>,
+    w: &mut Worker<'_, E, S>,
+    dffs: &[DffId],
+    cycle: u64,
+) -> Result<(SavfResult, InjectorStats), String> {
+    w.injector.release_golden_before(cycle);
+    if let Some(payload) = d.resumed(cycle) {
+        let (unit, stats, failures) = decode_savf_unit(payload)?;
+        w.injector.preload_failures(cycle, failures);
+        w.obs.unit_done(cycle, None, Some(&stats))?;
+        return Ok((unit, stats));
+    }
+    let before = w.injector.stats;
+    let mut unit = SavfResult::default();
+    let injector = &mut w.injector;
+    timed(S::ENABLED, &mut w.obs.phases.replay_us, || {
+        injector.prefill_failures(cycle, dffs.iter().map(|&d| vec![d]));
+        for &dff in dffs {
+            unit.injections += 1;
+            if injector.bit_ace(cycle, dff) {
+                unit.ace_hits += 1;
+            }
+        }
+    });
+    let delta = w.injector.stats.delta_since(&before);
+    let payload = d
+        .checkpointing()
+        .then(|| encode_savf_unit(&unit, &delta, &w.injector.snapshot_failures(cycle)));
+    w.obs.unit_done(cycle, payload, Some(&delta))?;
+    Ok((unit, delta))
+}
+
+/// The records unit at `cycle`: one record per edge of `edges`, in edge
+/// order, delayed by `extra`. Resumed units replay their serialized
+/// records instead of re-simulating.
+fn records_unit<E: Environment + Clone, S: TelemetrySink>(
+    d: &Driver<'_, E, S>,
+    w: &mut Worker<'_, E, S>,
+    edges: &[EdgeId],
+    extra: Picos,
+    cycle: u64,
+) -> Result<Vec<InjectionRecord>, String> {
+    w.injector.release_golden_before(cycle);
+    if let Some(payload) = d.resumed(cycle) {
+        let (records, failures) = decode_records_unit(payload, cycle)?;
+        w.injector.preload_failures(cycle + 1, failures);
+        w.obs.unit_done(cycle, None, None)?;
+        return Ok(records);
+    }
+    // Same two-phase structure as the sweep: collect the cycle's dynamic
+    // sets, batch their replays, then record in edge order.
+    let injector = &mut w.injector;
+    let phases = &mut w.obs.phases;
+    timed(S::ENABLED, &mut phases.golden_settle_us, || {
+        injector.warm_cycle_data(cycle)
+    });
+    let pairs: Vec<(EdgeId, Picos)> = edges.iter().map(|&edge| (edge, extra)).collect();
+    let parts: Vec<(usize, Vec<DffId>)> = timed(S::ENABLED, &mut phases.timing_step_us, || {
+        injector.dynamically_reachable_batch(cycle, &pairs)
+    });
+    let records: Vec<InjectionRecord> = timed(S::ENABLED, &mut phases.replay_us, || {
+        injector.prefill_failures(cycle + 1, parts.iter().map(|(_, set)| set.clone()));
+        edges
+            .iter()
+            .zip(parts)
+            .map(
+                |(&edge, (statically_reachable, dynamic_set))| InjectionRecord {
+                    cycle,
+                    edge,
+                    outcome: injector.classify_injection(cycle, statically_reachable, dynamic_set),
+                },
+            )
+            .collect()
+    });
+    let payload = d
+        .checkpointing()
+        .then(|| encode_records_unit(&records, &w.injector.snapshot_failures(cycle + 1)));
+    w.obs.unit_done(cycle, payload, None)?;
+    Ok(records)
+}
+
+/// The per-bit unit at `cycle`: each of `dffs`' strike visibility, in
+/// `dffs` order, from one all-bit prefill of the boundary.
+fn per_bit_unit<E: Environment + Clone, S: TelemetrySink>(
+    d: &Driver<'_, E, S>,
+    w: &mut Worker<'_, E, S>,
+    dffs: &[DffId],
+    cycle: u64,
+) -> Result<Vec<bool>, String> {
+    w.injector.release_golden_before(cycle);
+    if let Some(payload) = d.resumed(cycle) {
+        let classes = decode_per_bit_unit(payload, dffs.len())?;
+        w.obs.unit_done(cycle, None, None)?;
+        return Ok(classes.iter().map(|c| c.is_visible()).collect());
+    }
+    let injector = &mut w.injector;
+    let flags: Vec<bool> = timed(S::ENABLED, &mut w.obs.phases.replay_us, || {
+        injector.prefill_failures(cycle, dffs.iter().map(|&d| vec![d]));
+        dffs.iter()
+            .map(|&dff| injector.bit_ace(cycle, dff))
+            .collect()
+    });
+    let payload = d
+        .checkpointing()
+        .then(|| encode_per_bit_unit(&w.injector, dffs, cycle));
+    w.obs.unit_done(cycle, payload, None)?;
+    Ok(flags)
+}
+
+/// The spatial double-strike unit at `cycle`: every adjacent pair of
+/// `dffs` flipped together. A resumed unit preloads its boundary's pair
+/// classifications and replays the tally loop from the warmed cache.
+fn spatial_unit<E: Environment + Clone, S: TelemetrySink>(
+    d: &Driver<'_, E, S>,
+    w: &mut Worker<'_, E, S>,
+    dffs: &[DffId],
+    cycle: u64,
+) -> Result<SavfResult, String> {
+    w.injector.release_golden_before(cycle);
+    let resumed = d.resumed(cycle);
+    if let Some(payload) = resumed {
+        let mut t = Tokens::new(payload);
+        let failures = decode_failures(&mut t)?;
+        if !t.finished() {
+            return Err("checkpoint parse error: trailing payload tokens".into());
+        }
+        w.injector.preload_failures(cycle, failures);
+    }
+    let mut unit = SavfResult::default();
+    let injector = &mut w.injector;
+    timed(S::ENABLED, &mut w.obs.phases.replay_us, || {
+        injector.prefill_failures(cycle, dffs.windows(2).map(|p| p.to_vec()));
+        for pair in dffs.windows(2) {
+            unit.injections += 1;
+            if injector.group_ace(cycle, pair) {
+                unit.ace_hits += 1;
+            }
+        }
+    });
+    let payload = (d.checkpointing() && resumed.is_none()).then(|| {
+        let mut out = String::new();
+        encode_failures(&mut out, &w.injector.snapshot_failures(cycle));
+        out.trim_start().to_owned()
+    });
+    w.obs.unit_done(cycle, payload, None)?;
+    Ok(unit)
+}
+
+fn edge_items(edges: &[EdgeId]) -> Vec<usize> {
+    edges.iter().map(|e| e.index()).collect()
+}
+
+fn dff_items(dffs: &[DffId]) -> Vec<usize> {
+    dffs.iter().map(|d| d.index()).collect()
+}
+
+// ---------------------------------------------------------------------------
+// Uniform campaigns: every valid cycle is one unit.
+// ---------------------------------------------------------------------------
+
 /// Runs a DelayAVF sweep: every sampled cycle × every given edge × every
 /// delay fraction. Returns one [`DelayAvfResult`] per delay fraction, in
 /// the configured order.
@@ -1359,86 +1658,27 @@ pub fn delay_avf_campaign_observed<E: Environment + Clone, S: TelemetrySink>(
     if config.ci_target.is_some() {
         return delay_avf_campaign_adaptive(circuit, topo, timing, golden, edges, config, ctx);
     }
-    let cycles = valid_cycles(golden);
-    let threads = resolve_threads(config.threads, cycles.len());
-    let items: Vec<usize> = edges.iter().map(|e| e.index()).collect();
-    let fingerprint = campaign_fingerprint(
+    let d = Driver::open(
         "delay_sweep",
         circuit,
+        topo,
         timing,
         golden,
-        &cycles,
-        &items,
+        config.replay_options(),
+        ctx,
+        &edge_items(edges),
         &config.delay_fractions,
-        config.due_slack,
         config.compute_orace,
-    );
-    let knobs = knob_hash(
-        config.lanes,
-        config.timing_lanes,
-        config.incremental,
-        config.delta_timing,
-        config.collapse,
-        config.ci_target,
-        config.strata,
-        config.sample_seed,
-    );
-    let setup = open_store(&ctx.checkpoint, "delay_sweep", fingerprint, knobs)?;
-    observe_campaign(ctx, &setup, "delay_sweep", cycles.len(), threads, || {
-        let store = setup.store.as_ref();
-        let resumed = &setup.resumed;
-        let shards = run_sharded(threads, &cycles, |shard_id, shard| {
-            let mut injector = shard_injector(
-                circuit,
-                topo,
-                timing,
-                golden,
-                config.due_slack,
-                config.incremental,
-                config.delta_timing,
-                config.lanes,
-                config.timing_lanes,
-                config.collapse,
-            );
-            let mut rows = empty_rows(config);
-            let mut stats = InjectorStats::default();
-            let mut obs = ShardObserver::new(ctx.telemetry, store, shard_id, shard.len());
-            for &cycle in shard {
-                if let Some(payload) = resumed.get(&cycle) {
-                    let (unit_rows, unit_stats, failures) = decode_delay_unit(payload, config)?;
-                    injector.preload_failures(cycle + 1, failures);
-                    merge_rows(&mut rows, &unit_rows);
-                    stats.merge(&unit_stats);
-                    obs.unit_done(cycle, None, Some(&unit_stats))?;
-                    continue;
-                }
-                let before = injector.stats;
-                let unit_rows = delay_sweep_unit(
-                    &mut injector,
-                    timing,
-                    edges,
-                    config,
-                    cycle,
-                    S::ENABLED,
-                    &mut obs.phases,
-                );
-                let delta = injector.stats.delta_since(&before);
-                let payload = store.is_some().then(|| {
-                    encode_delay_unit(&unit_rows, &delta, &injector.snapshot_failures(cycle + 1))
-                });
-                merge_rows(&mut rows, &unit_rows);
-                stats.merge(&delta);
-                obs.unit_done(cycle, payload, Some(&delta))?;
-            }
-            obs.finish();
-            Ok::<_, String>((rows, stats))
-        });
+    )?;
+    d.observe(d.cycles.len(), || {
+        let units = d.run(&d.cycles, |w, &cycle| {
+            sweep_unit(&d, w, config, cycle, cycle, edges, false)
+        })?;
         let mut rows = empty_rows(config);
         let mut stats = InjectorStats::default();
-        for shard in shards {
-            let (shard_rows, shard_stats) = shard?;
-            merge_rows(&mut rows, &shard_rows);
-            stats.merge(&shard_stats);
+        for (unit_rows, _, unit_stats) in &units {
+            merge_rows(&mut rows, unit_rows);
+            stats.merge(unit_stats);
         }
         Ok((rows, stats))
     })
@@ -1499,87 +1739,25 @@ pub fn savf_campaign_observed<E: Environment + Clone, S: TelemetrySink>(
     if opts.ci_target.is_some() {
         return savf_campaign_adaptive(circuit, topo, timing, golden, dffs, opts, ctx);
     }
-    let cycles = valid_cycles(golden);
-    let threads = resolve_threads(opts.threads, cycles.len());
-    let items: Vec<usize> = dffs.iter().map(|d| d.index()).collect();
-    let fingerprint = campaign_fingerprint(
+    let d = Driver::open(
         "savf",
         circuit,
+        topo,
         timing,
         golden,
-        &cycles,
-        &items,
+        opts,
+        ctx,
+        &dff_items(dffs),
         &[],
-        opts.due_slack,
         false,
-    );
-    let knobs = knob_hash(
-        opts.lanes,
-        opts.timing_lanes,
-        opts.incremental,
-        opts.delta_timing,
-        opts.collapse,
-        opts.ci_target,
-        opts.strata,
-        opts.sample_seed,
-    );
-    let setup = open_store(&ctx.checkpoint, "savf", fingerprint, knobs)?;
-    observe_campaign(ctx, &setup, "savf", cycles.len(), threads, || {
-        let store = setup.store.as_ref();
-        let resumed = &setup.resumed;
-        let shards = run_sharded(threads, &cycles, |shard_id, shard| {
-            let mut injector = shard_injector(
-                circuit,
-                topo,
-                timing,
-                golden,
-                opts.due_slack,
-                opts.incremental,
-                opts.delta_timing,
-                opts.lanes,
-                opts.timing_lanes,
-                opts.collapse,
-            );
-            let mut result = SavfResult::default();
-            let mut stats = InjectorStats::default();
-            let mut obs = ShardObserver::new(ctx.telemetry, store, shard_id, shard.len());
-            for &cycle in shard {
-                if let Some(payload) = resumed.get(&cycle) {
-                    let (unit_result, unit_stats, failures) = decode_savf_unit(payload)?;
-                    injector.preload_failures(cycle, failures);
-                    result.merge(&unit_result);
-                    stats.merge(&unit_stats);
-                    obs.unit_done(cycle, None, Some(&unit_stats))?;
-                    continue;
-                }
-                let before = injector.stats;
-                let mut unit = SavfResult::default();
-                timed(S::ENABLED, &mut obs.phases.replay_us, || {
-                    injector.prefill_failures(cycle, dffs.iter().map(|&d| vec![d]));
-                    for &dff in dffs {
-                        unit.injections += 1;
-                        if injector.bit_ace(cycle, dff) {
-                            unit.ace_hits += 1;
-                        }
-                    }
-                });
-                let delta = injector.stats.delta_since(&before);
-                let payload = store
-                    .is_some()
-                    .then(|| encode_savf_unit(&unit, &delta, &injector.snapshot_failures(cycle)));
-                result.merge(&unit);
-                stats.merge(&delta);
-                obs.unit_done(cycle, payload, Some(&delta))?;
-            }
-            obs.finish();
-            Ok::<_, String>((result, stats))
-        });
+    )?;
+    d.observe(d.cycles.len(), || {
+        let units = d.run(&d.cycles, |w, &cycle| savf_unit(&d, w, dffs, cycle))?;
         let mut result = SavfResult::default();
         let mut stats = InjectorStats::default();
-        for shard in shards {
-            let (shard_result, shard_stats) = shard?;
-            result.merge(&shard_result);
-            stats.merge(&shard_stats);
+        for (unit, unit_stats) in &units {
+            result.merge(unit);
+            stats.merge(unit_stats);
         }
         Ok((result, stats))
     })
@@ -1636,119 +1814,38 @@ pub fn delay_avf_campaign_records_observed<E: Environment + Clone, S: TelemetryS
             circuit, topo, timing, golden, edges, fraction, opts, ctx,
         );
     }
-    let cycles = valid_cycles(golden);
-    let threads = resolve_threads(opts.threads, cycles.len());
-    let extra = fraction_to_picos(timing, fraction);
-    let items: Vec<usize> = edges.iter().map(|e| e.index()).collect();
-    let fingerprint = campaign_fingerprint(
+    let d = Driver::open(
         "delay_records",
         circuit,
+        topo,
         timing,
         golden,
-        &cycles,
-        &items,
+        opts,
+        ctx,
+        &edge_items(edges),
         &[fraction],
-        opts.due_slack,
         false,
-    );
-    let knobs = knob_hash(
-        opts.lanes,
-        opts.timing_lanes,
-        opts.incremental,
-        opts.delta_timing,
-        opts.collapse,
-        opts.ci_target,
-        opts.strata,
-        opts.sample_seed,
-    );
-    let setup = open_store(&ctx.checkpoint, "delay_records", fingerprint, knobs)?;
-    observe_campaign(ctx, &setup, "delay_records", cycles.len(), threads, || {
-        let store = setup.store.as_ref();
-        let resumed = &setup.resumed;
-        let shards = run_sharded(threads, &cycles, |shard_id, shard| {
-            let mut injector = shard_injector(
-                circuit,
-                topo,
-                timing,
-                golden,
-                opts.due_slack,
-                opts.incremental,
-                opts.delta_timing,
-                opts.lanes,
-                opts.timing_lanes,
-                opts.collapse,
-            );
-            let mut row = DelayAvfResult {
-                delay_fraction: fraction,
-                ..DelayAvfResult::default()
-            };
-            let mut records = Vec::with_capacity(shard.len() * edges.len());
-            let mut obs = ShardObserver::new(ctx.telemetry, store, shard_id, shard.len());
-            for &cycle in shard {
-                if let Some(payload) = resumed.get(&cycle) {
-                    let (unit_records, failures) = decode_records_unit(payload, cycle)?;
-                    injector.preload_failures(cycle + 1, failures);
-                    for record in &unit_records {
-                        tally(&mut row, &record.outcome);
-                    }
-                    records.extend(unit_records);
-                    obs.unit_done(cycle, None, None)?;
-                    continue;
-                }
-                let unit_start = records.len();
-                // Same two-phase structure as the sweep: collect the
-                // cycle's dynamic sets, batch their replays, then record in
-                // edge order.
-                timed(S::ENABLED, &mut obs.phases.golden_settle_us, || {
-                    injector.warm_cycle_data(cycle)
-                });
-                let pairs: Vec<(EdgeId, Picos)> = edges.iter().map(|&edge| (edge, extra)).collect();
-                let parts: Vec<(usize, Vec<DffId>)> =
-                    timed(S::ENABLED, &mut obs.phases.timing_step_us, || {
-                        injector.dynamically_reachable_batch(cycle, &pairs)
-                    });
-                timed(S::ENABLED, &mut obs.phases.replay_us, || {
-                    injector.prefill_failures(cycle + 1, parts.iter().map(|(_, set)| set.clone()));
-                    for (&edge, (statically_reachable, dynamic_set)) in edges.iter().zip(parts) {
-                        let outcome =
-                            injector.classify_injection(cycle, statically_reachable, dynamic_set);
-                        tally(&mut row, &outcome);
-                        records.push(InjectionRecord {
-                            cycle,
-                            edge,
-                            outcome,
-                        });
-                    }
-                });
-                let payload = store.is_some().then(|| {
-                    encode_records_unit(
-                        &records[unit_start..],
-                        &injector.snapshot_failures(cycle + 1),
-                    )
-                });
-                obs.unit_done(cycle, payload, None)?;
-            }
-            obs.finish();
-            Ok::<_, String>((row, records))
-        });
+    )?;
+    let extra = fraction_to_picos(timing, fraction);
+    d.observe(d.cycles.len(), || {
+        let units = d.run(&d.cycles, |w, &cycle| {
+            records_unit(&d, w, edges, extra, cycle)
+        })?;
         let mut row = DelayAvfResult {
             delay_fraction: fraction,
             ..DelayAvfResult::default()
         };
-        let mut records = Vec::new();
-        for shard in shards {
-            let (shard_row, shard_records) = shard?;
-            row.merge(&shard_row);
-            records.extend(shard_records);
+        for record in units.iter().flatten() {
+            tally(&mut row, &record.outcome);
         }
-        Ok((row, records))
+        Ok((row, units.into_iter().flatten().collect()))
     })
 }
 
 /// Per-bit sAVF: like [`savf_campaign`] but reporting each flip-flop's
 /// individual ACE fraction, so designers can locate a structure's
-/// vulnerability *hotspots* (the bits worth hardening first). Sharded over
-/// bits; the returned order follows `dffs` regardless of `opts.threads`.
+/// vulnerability *hotspots* (the bits worth hardening first). The returned
+/// order follows `dffs` regardless of `opts.threads`.
 pub fn savf_per_bit_campaign<E: Environment + Clone>(
     circuit: &Circuit,
     topo: &Topology,
@@ -1770,11 +1867,11 @@ pub fn savf_per_bit_campaign<E: Environment + Clone>(
 }
 
 /// [`savf_per_bit_campaign`] under a [`RunContext`]. Work units are
-/// *bits*: each unit stores its per-cycle classifications, which a resumed
-/// run preloads into the failure cache so the bit costs no replays. (The
-/// preload changes which scenarios the batch prefill still has to run —
-/// harmless, because per-bit results are batch-shape invariant and this
-/// campaign exposes no stats.)
+/// cycles, like every other campaign's: each unit stores one
+/// classification per bit, and the per-cycle flags are transposed into
+/// per-bit tallies at the end. (The checkpoint kind is
+/// `savf_per_bit_cycles`, so a file from the older bit-keyed layout is a
+/// `checkpoint mismatch`.)
 ///
 /// # Errors
 ///
@@ -1791,90 +1888,37 @@ pub fn savf_per_bit_campaign_observed<E: Environment + Clone, S: TelemetrySink>(
     if opts.ci_target.is_some() {
         return savf_per_bit_campaign_adaptive(circuit, topo, timing, golden, dffs, opts, ctx);
     }
-    let cycles = valid_cycles(golden);
-    let threads = resolve_threads(opts.threads, dffs.len());
-    let items: Vec<usize> = dffs.iter().map(|d| d.index()).collect();
-    let fingerprint = campaign_fingerprint(
-        "savf_per_bit",
+    let d = Driver::open(
+        "savf_per_bit_cycles",
         circuit,
+        topo,
         timing,
         golden,
-        &cycles,
-        &items,
+        opts,
+        ctx,
+        &dff_items(dffs),
         &[],
-        opts.due_slack,
         false,
-    );
-    let knobs = knob_hash(
-        opts.lanes,
-        opts.timing_lanes,
-        opts.incremental,
-        opts.delta_timing,
-        opts.collapse,
-        opts.ci_target,
-        opts.strata,
-        opts.sample_seed,
-    );
-    let setup = open_store(&ctx.checkpoint, "savf_per_bit", fingerprint, knobs)?;
-    observe_campaign(ctx, &setup, "savf_per_bit", dffs.len(), threads, || {
-        let store = setup.store.as_ref();
-        let resumed = &setup.resumed;
-        let shards = run_sharded(threads, dffs, |shard_id, shard| {
-            let mut injector = shard_injector(
-                circuit,
-                topo,
-                timing,
-                golden,
-                opts.due_slack,
-                opts.incremental,
-                opts.delta_timing,
-                opts.lanes,
-                opts.timing_lanes,
-                opts.collapse,
-            );
-            let mut obs = ShardObserver::new(ctx.telemetry, store, shard_id, shard.len());
-            // Preload every resumed bit's classifications first, so the
-            // batch prefill only replays what is genuinely unknown.
-            for &dff in shard.iter() {
-                if let Some(payload) = resumed.get(&(dff.index() as u64)) {
-                    let classes = decode_per_bit_unit(payload, cycles.len())?;
-                    for (&cycle, class) in cycles.iter().zip(classes) {
-                        injector.preload_failures(cycle, [(vec![dff], class)]);
-                    }
-                }
-            }
-            timed(S::ENABLED, &mut obs.phases.replay_us, || {
-                for &cycle in &cycles {
-                    injector.prefill_failures(cycle, shard.iter().map(|&d| vec![d]));
-                }
-            });
-            let mut out = Vec::with_capacity(shard.len());
-            for &dff in shard.iter() {
-                let key = dff.index() as u64;
-                let was_resumed = resumed.contains_key(&key);
-                let mut r = SavfResult::default();
-                timed(S::ENABLED, &mut obs.phases.replay_us, || {
-                    for &cycle in &cycles {
-                        r.injections += 1;
-                        if injector.bit_ace(cycle, dff) {
-                            r.ace_hits += 1;
-                        }
-                    }
-                });
-                out.push((dff, r));
-                let payload = (store.is_some() && !was_resumed)
-                    .then(|| encode_per_bit_unit(&injector, dff, &cycles));
-                obs.unit_done(key, payload, None)?;
-            }
-            obs.finish();
-            Ok::<_, String>(out)
-        });
-        let mut out = Vec::with_capacity(dffs.len());
-        for shard in shards {
-            out.extend(shard?);
+    )?;
+    d.observe(d.cycles.len(), || {
+        let units = d.run(&d.cycles, |w, &cycle| per_bit_unit(&d, w, dffs, cycle))?;
+        let mut out: Vec<(DffId, SavfResult)> =
+            dffs.iter().map(|&d| (d, SavfResult::default())).collect();
+        for flags in &units {
+            tally_bits(&mut out, flags);
         }
         Ok(out)
     })
+}
+
+/// Folds one per-bit unit's strike flags into the per-bit tallies.
+fn tally_bits(out: &mut [(DffId, SavfResult)], flags: &[bool]) {
+    for ((_, r), &ace) in out.iter_mut().zip(flags) {
+        r.injections += 1;
+        if ace {
+            r.ace_hits += 1;
+        }
+    }
 }
 
 /// Runs a **spatial double-bit** particle-strike campaign: simultaneous
@@ -1932,85 +1976,23 @@ pub fn spatial_double_strike_campaign_observed<E: Environment + Clone, S: Teleme
             circuit, topo, timing, golden, dffs, opts, ctx,
         );
     }
-    let cycles = valid_cycles(golden);
-    let threads = resolve_threads(opts.threads, cycles.len());
-    let items: Vec<usize> = dffs.iter().map(|d| d.index()).collect();
-    let fingerprint = campaign_fingerprint(
+    let d = Driver::open(
         "spatial_double",
         circuit,
+        topo,
         timing,
         golden,
-        &cycles,
-        &items,
+        opts,
+        ctx,
+        &dff_items(dffs),
         &[],
-        opts.due_slack,
         false,
-    );
-    let knobs = knob_hash(
-        opts.lanes,
-        opts.timing_lanes,
-        opts.incremental,
-        opts.delta_timing,
-        opts.collapse,
-        opts.ci_target,
-        opts.strata,
-        opts.sample_seed,
-    );
-    let setup = open_store(&ctx.checkpoint, "spatial_double", fingerprint, knobs)?;
-    observe_campaign(ctx, &setup, "spatial_double", cycles.len(), threads, || {
-        let store = setup.store.as_ref();
-        let resumed = &setup.resumed;
-        let shards = run_sharded(threads, &cycles, |shard_id, shard| {
-            let mut injector = shard_injector(
-                circuit,
-                topo,
-                timing,
-                golden,
-                opts.due_slack,
-                opts.incremental,
-                opts.delta_timing,
-                opts.lanes,
-                opts.timing_lanes,
-                opts.collapse,
-            );
-            let mut result = SavfResult::default();
-            let mut obs = ShardObserver::new(ctx.telemetry, store, shard_id, shard.len());
-            for &cycle in shard {
-                let was_resumed = if let Some(payload) = resumed.get(&cycle) {
-                    let mut t = Tokens::new(payload);
-                    let failures = decode_failures(&mut t)?;
-                    if !t.finished() {
-                        return Err("checkpoint parse error: trailing payload tokens".into());
-                    }
-                    injector.preload_failures(cycle, failures);
-                    true
-                } else {
-                    false
-                };
-                let mut unit = SavfResult::default();
-                timed(S::ENABLED, &mut obs.phases.replay_us, || {
-                    injector.prefill_failures(cycle, dffs.windows(2).map(|p| p.to_vec()));
-                    for pair in dffs.windows(2) {
-                        unit.injections += 1;
-                        if injector.group_ace(cycle, pair) {
-                            unit.ace_hits += 1;
-                        }
-                    }
-                });
-                result.merge(&unit);
-                let payload = (store.is_some() && !was_resumed).then(|| {
-                    let mut out = String::new();
-                    encode_failures(&mut out, &injector.snapshot_failures(cycle));
-                    out.trim_start().to_owned()
-                });
-                obs.unit_done(cycle, payload, None)?;
-            }
-            obs.finish();
-            Ok::<_, String>(result)
-        });
+    )?;
+    d.observe(d.cycles.len(), || {
+        let units = d.run(&d.cycles, |w, &cycle| spatial_unit(&d, w, dffs, cycle))?;
         let mut result = SavfResult::default();
-        for shard in shards {
-            result.merge(&shard?);
+        for unit in &units {
+            result.merge(unit);
         }
         Ok(result)
     })
@@ -2092,6 +2074,36 @@ fn round_key(round: u64, cycle: u64) -> u64 {
     (round << 44) | cycle
 }
 
+/// The adaptive plan of a cycle-site campaign (every campaign but the
+/// sweep): sites are the valid cycles, stratified by toggle activity ×
+/// trace phase, with `estimands` tallies per site.
+fn cycle_plan<E: Environment + Clone, S: TelemetrySink>(
+    d: &Driver<'_, E, S>,
+    target: f64,
+    buckets: usize,
+    estimands: usize,
+) -> AdaptivePlan {
+    AdaptivePlan::new(
+        cycle_strata(d.golden, &d.cycles, buckets),
+        buckets * buckets,
+        estimands,
+        target,
+        d.opts.sample_seed,
+    )
+}
+
+/// The adaptive plan's interval for estimand `e`, as a report column.
+fn adaptive_estimate(plan: &AdaptivePlan, e: usize) -> AdaptiveEstimate {
+    let est = plan.estimate(e);
+    AdaptiveEstimate {
+        point: est.point,
+        lo: est.lo,
+        hi: est.hi,
+        population: plan.population(),
+        sampled: plan.sampled_sites(),
+    }
+}
+
 /// Adaptive counterpart of [`delay_avf_campaign_observed`]: sites are
 /// (cycle, edge) pairs stratified by edge static slack × cycle toggle
 /// activity, and each round's selected sites are grouped per cycle so the
@@ -2107,9 +2119,22 @@ fn delay_avf_campaign_adaptive<E: Environment + Clone, S: TelemetrySink>(
     ctx: &RunContext<'_, S>,
 ) -> Result<(Vec<DelayAvfResult>, InjectorStats), String> {
     let (ci_target, buckets) = checked_adaptive(config.ci_target, config.strata)?;
-    let cycles = valid_cycles(golden);
+    let d = Driver::open(
+        "delay_sweep_adaptive",
+        circuit,
+        topo,
+        timing,
+        golden,
+        config.replay_options(),
+        ctx,
+        &edge_items(edges),
+        &config.delay_fractions,
+        config.compute_orace,
+    )?;
     let nf = config.delay_fractions.len();
-    let toggles: Vec<u64> = cycles
+    let ne = edges.len().max(1);
+    let toggles: Vec<u64> = d
+        .cycles
         .iter()
         .map(|&cycle| toggle_activity(golden, cycle))
         .collect();
@@ -2119,8 +2144,8 @@ fn delay_avf_campaign_adaptive<E: Environment + Clone, S: TelemetrySink>(
         .collect();
     let tb = bucket_axis(&toggles, buckets);
     let sb = bucket_axis(&slacks, buckets);
-    let site_stratum: Vec<usize> = (0..cycles.len() * edges.len())
-        .map(|site| sb[site % edges.len().max(1)] * buckets + tb[site / edges.len().max(1)])
+    let site_stratum: Vec<usize> = (0..d.cycles.len() * edges.len())
+        .map(|site| sb[site % ne] * buckets + tb[site / ne])
         .collect();
     let mut plan = AdaptivePlan::new(
         site_stratum,
@@ -2130,157 +2155,57 @@ fn delay_avf_campaign_adaptive<E: Environment + Clone, S: TelemetrySink>(
         config.sample_seed,
     );
     let population = plan.population();
-    let items: Vec<usize> = edges.iter().map(|e| e.index()).collect();
-    let fingerprint = campaign_fingerprint(
-        "delay_sweep_adaptive",
-        circuit,
-        timing,
-        golden,
-        &cycles,
-        &items,
-        &config.delay_fractions,
-        config.due_slack,
-        config.compute_orace,
-    );
-    let knobs = knob_hash(
-        config.lanes,
-        config.timing_lanes,
-        config.incremental,
-        config.delta_timing,
-        config.collapse,
-        config.ci_target,
-        config.strata,
-        config.sample_seed,
-    );
-    let setup = open_store(&ctx.checkpoint, "delay_sweep_adaptive", fingerprint, knobs)?;
-    let threads = resolve_threads(config.threads, cycles.len());
-    observe_campaign(
-        ctx,
-        &setup,
-        "delay_sweep_adaptive",
-        population,
-        threads,
-        || {
-            let store = setup.store.as_ref();
-            let resumed = &setup.resumed;
-            let mut rows = empty_rows(config);
-            let mut stats = InjectorStats::default();
-            let mut round: u64 = 0;
-            loop {
-                let sites = plan.next_round();
-                if sites.is_empty() {
-                    break;
-                }
-                // Group the round's sites per cycle: the unit body batches one
-                // latch boundary, and grouping keeps per-unit work independent
-                // of how sites landed across strata.
-                let mut by_cycle: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-                for site in sites {
-                    by_cycle
-                        .entry(site / edges.len().max(1))
-                        .or_default()
-                        .push(site % edges.len().max(1));
-                }
-                let groups: Vec<(usize, Vec<usize>)> = by_cycle.into_iter().collect();
-                let round_threads = resolve_threads(config.threads, groups.len());
-                let shards = run_sharded(round_threads, &groups, |shard_id, shard| {
-                    let mut injector = shard_injector(
-                        circuit,
-                        topo,
-                        timing,
-                        golden,
-                        config.due_slack,
-                        config.incremental,
-                        config.delta_timing,
-                        config.lanes,
-                        config.timing_lanes,
-                        config.collapse,
-                    );
-                    let mut rows = empty_rows(config);
-                    let mut stats = InjectorStats::default();
-                    let mut visibility: Vec<Vec<bool>> = Vec::with_capacity(shard.len());
-                    let mut obs = ShardObserver::new(ctx.telemetry, store, shard_id, shard.len());
-                    for (cyclepos, edge_positions) in shard {
-                        let cycle = cycles[*cyclepos];
-                        let key = round_key(round, cycle);
-                        if let Some(payload) = resumed.get(&key) {
-                            let (unit_rows, vis, unit_stats, failures) =
-                                decode_adaptive_sweep_unit(payload, config, edge_positions.len())?;
-                            injector.preload_failures(cycle + 1, failures);
-                            merge_rows(&mut rows, &unit_rows);
-                            stats.merge(&unit_stats);
-                            visibility.push(vis);
-                            obs.unit_done(key, None, Some(&unit_stats))?;
-                            continue;
-                        }
-                        let selected: Vec<EdgeId> =
-                            edge_positions.iter().map(|&ei| edges[ei]).collect();
-                        let before = injector.stats;
-                        let (unit_rows, vis) = delay_sweep_unit_vis(
-                            &mut injector,
-                            timing,
-                            &selected,
-                            config,
-                            cycle,
-                            S::ENABLED,
-                            &mut obs.phases,
-                        );
-                        let delta = injector.stats.delta_since(&before);
-                        let payload = store.is_some().then(|| {
-                            encode_adaptive_sweep_unit(
-                                &unit_rows,
-                                &vis,
-                                &delta,
-                                &injector.snapshot_failures(cycle + 1),
-                            )
-                        });
-                        merge_rows(&mut rows, &unit_rows);
-                        stats.merge(&delta);
-                        visibility.push(vis);
-                        obs.unit_done(key, payload, Some(&delta))?;
-                    }
-                    obs.finish();
-                    Ok::<_, String>((rows, stats, visibility))
-                });
-                // Shards chunk `groups` contiguously and push one visibility
-                // vector per group, so the concatenation re-aligns with
-                // `groups` — the plan tallies stay thread-count invariant.
-                let mut all_vis: Vec<Vec<bool>> = Vec::with_capacity(groups.len());
-                for shard in shards {
-                    let (shard_rows, shard_stats, shard_vis) = shard?;
-                    merge_rows(&mut rows, &shard_rows);
-                    stats.merge(&shard_stats);
-                    all_vis.extend(shard_vis);
-                }
-                let trials = vec![1u64; nf];
-                for ((cyclepos, edge_positions), vis) in groups.iter().zip(&all_vis) {
-                    let width = edge_positions.len();
-                    for (j, &ei) in edge_positions.iter().enumerate() {
-                        let site = cyclepos * edges.len() + ei;
-                        let hits: Vec<u64> =
-                            (0..nf).map(|fi| u64::from(vis[fi * width + j])).collect();
-                        plan.record(site, &hits, &trials);
-                    }
-                }
-                plan.finish_round();
-                round += 1;
+    d.observe(population, || {
+        let mut rows = empty_rows(config);
+        let mut stats = InjectorStats::default();
+        let mut round: u64 = 0;
+        loop {
+            let sites = plan.next_round();
+            if sites.is_empty() {
+                break;
             }
-            stats.strata_active = plan.strata_active() as u64;
-            stats.strata_retired_early = plan.strata_retired_early() as u64;
-            stats.adaptive_replays_saved = ((population - plan.sampled_sites()) * nf) as u64;
-            for (fi, row) in rows.iter_mut().enumerate() {
-                let est = plan.estimate(fi);
-                row.adaptive = Some(AdaptiveEstimate {
-                    point: est.point,
-                    lo: est.lo,
-                    hi: est.hi,
-                    population,
-                    sampled: plan.sampled_sites(),
-                });
+            // Group the round's sites per cycle: the unit body batches one
+            // latch boundary, and grouping keeps per-unit work independent
+            // of how sites landed across strata.
+            let mut by_cycle: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+            for site in sites {
+                by_cycle.entry(site / ne).or_default().push(site % ne);
             }
-            Ok((rows, stats))
-        },
-    )
+            let groups: Vec<(usize, Vec<usize>)> = by_cycle.into_iter().collect();
+            let units = d.run(&groups, |w, (cyclepos, positions)| {
+                let cycle = d.cycles[*cyclepos];
+                let selected: Vec<EdgeId> = positions.iter().map(|&ei| edges[ei]).collect();
+                sweep_unit(
+                    &d,
+                    w,
+                    config,
+                    round_key(round, cycle),
+                    cycle,
+                    &selected,
+                    true,
+                )
+            })?;
+            let trials = vec![1u64; nf];
+            for ((cyclepos, positions), (unit_rows, vis, unit_stats)) in groups.iter().zip(&units) {
+                merge_rows(&mut rows, unit_rows);
+                stats.merge(unit_stats);
+                let width = positions.len();
+                for (j, &ei) in positions.iter().enumerate() {
+                    let hits: Vec<u64> = (0..nf).map(|fi| u64::from(vis[fi * width + j])).collect();
+                    plan.record(cyclepos * edges.len() + ei, &hits, &trials);
+                }
+            }
+            plan.finish_round();
+            round += 1;
+        }
+        stats.strata_active = plan.strata_active() as u64;
+        stats.strata_retired_early = plan.strata_retired_early() as u64;
+        stats.adaptive_replays_saved = ((population - plan.sampled_sites()) * nf) as u64;
+        for (fi, row) in rows.iter_mut().enumerate() {
+            row.adaptive = Some(adaptive_estimate(&plan, fi));
+        }
+        Ok((rows, stats))
+    })
 }
 
 /// Adaptive counterpart of [`savf_campaign_observed`]: sites are trace
@@ -2297,42 +2222,21 @@ fn savf_campaign_adaptive<E: Environment + Clone, S: TelemetrySink>(
     ctx: &RunContext<'_, S>,
 ) -> Result<(SavfResult, InjectorStats), String> {
     let (ci_target, buckets) = checked_adaptive(opts.ci_target, opts.strata)?;
-    let cycles = valid_cycles(golden);
-    let mut plan = AdaptivePlan::new(
-        cycle_strata(golden, &cycles, buckets),
-        buckets * buckets,
-        1,
-        ci_target,
-        opts.sample_seed,
-    );
-    let population = plan.population();
-    let items: Vec<usize> = dffs.iter().map(|d| d.index()).collect();
-    let fingerprint = campaign_fingerprint(
+    let d = Driver::open(
         "savf_adaptive",
         circuit,
+        topo,
         timing,
         golden,
-        &cycles,
-        &items,
+        opts,
+        ctx,
+        &dff_items(dffs),
         &[],
-        opts.due_slack,
         false,
-    );
-    let knobs = knob_hash(
-        opts.lanes,
-        opts.timing_lanes,
-        opts.incremental,
-        opts.delta_timing,
-        opts.collapse,
-        opts.ci_target,
-        opts.strata,
-        opts.sample_seed,
-    );
-    let setup = open_store(&ctx.checkpoint, "savf_adaptive", fingerprint, knobs)?;
-    let threads = resolve_threads(opts.threads, cycles.len());
-    observe_campaign(ctx, &setup, "savf_adaptive", population, threads, || {
-        let store = setup.store.as_ref();
-        let resumed = &setup.resumed;
+    )?;
+    let mut plan = cycle_plan(&d, ci_target, buckets, 1);
+    let population = plan.population();
+    d.observe(population, || {
         let mut result = SavfResult::default();
         let mut stats = InjectorStats::default();
         loop {
@@ -2340,63 +2244,10 @@ fn savf_campaign_adaptive<E: Environment + Clone, S: TelemetrySink>(
             if sites.is_empty() {
                 break;
             }
-            let round_threads = resolve_threads(opts.threads, sites.len());
-            let shards = run_sharded(round_threads, &sites, |shard_id, shard| {
-                let mut injector = shard_injector(
-                    circuit,
-                    topo,
-                    timing,
-                    golden,
-                    opts.due_slack,
-                    opts.incremental,
-                    opts.delta_timing,
-                    opts.lanes,
-                    opts.timing_lanes,
-                    opts.collapse,
-                );
-                let mut units: Vec<SavfResult> = Vec::with_capacity(shard.len());
-                let mut stats = InjectorStats::default();
-                let mut obs = ShardObserver::new(ctx.telemetry, store, shard_id, shard.len());
-                for &site in shard {
-                    let cycle = cycles[site];
-                    if let Some(payload) = resumed.get(&cycle) {
-                        let (unit, unit_stats, failures) = decode_savf_unit(payload)?;
-                        injector.preload_failures(cycle, failures);
-                        units.push(unit);
-                        stats.merge(&unit_stats);
-                        obs.unit_done(cycle, None, Some(&unit_stats))?;
-                        continue;
-                    }
-                    let before = injector.stats;
-                    let mut unit = SavfResult::default();
-                    timed(S::ENABLED, &mut obs.phases.replay_us, || {
-                        injector.prefill_failures(cycle, dffs.iter().map(|&d| vec![d]));
-                        for &dff in dffs {
-                            unit.injections += 1;
-                            if injector.bit_ace(cycle, dff) {
-                                unit.ace_hits += 1;
-                            }
-                        }
-                    });
-                    let delta = injector.stats.delta_since(&before);
-                    let payload = store.is_some().then(|| {
-                        encode_savf_unit(&unit, &delta, &injector.snapshot_failures(cycle))
-                    });
-                    units.push(unit);
-                    stats.merge(&delta);
-                    obs.unit_done(cycle, payload, Some(&delta))?;
-                }
-                obs.finish();
-                Ok::<_, String>((units, stats))
-            });
-            let mut units: Vec<SavfResult> = Vec::with_capacity(sites.len());
-            for shard in shards {
-                let (shard_units, shard_stats) = shard?;
-                units.extend(shard_units);
-                stats.merge(&shard_stats);
-            }
-            for (&site, unit) in sites.iter().zip(&units) {
+            let units = d.run(&sites, |w, &site| savf_unit(&d, w, dffs, d.cycles[site]))?;
+            for (&site, (unit, unit_stats)) in sites.iter().zip(&units) {
                 result.merge(unit);
+                stats.merge(unit_stats);
                 plan.record(site, &[unit.ace_hits as u64], &[unit.injections as u64]);
             }
             plan.finish_round();
@@ -2423,173 +2274,51 @@ fn delay_avf_campaign_records_adaptive<E: Environment + Clone, S: TelemetrySink>
     ctx: &RunContext<'_, S>,
 ) -> Result<(DelayAvfResult, Vec<InjectionRecord>), String> {
     let (ci_target, buckets) = checked_adaptive(opts.ci_target, opts.strata)?;
-    let cycles = valid_cycles(golden);
-    let extra = fraction_to_picos(timing, fraction);
-    let mut plan = AdaptivePlan::new(
-        cycle_strata(golden, &cycles, buckets),
-        buckets * buckets,
-        1,
-        ci_target,
-        opts.sample_seed,
-    );
-    let population = plan.population();
-    let items: Vec<usize> = edges.iter().map(|e| e.index()).collect();
-    let fingerprint = campaign_fingerprint(
+    let d = Driver::open(
         "delay_records_adaptive",
         circuit,
+        topo,
         timing,
         golden,
-        &cycles,
-        &items,
-        &[fraction],
-        opts.due_slack,
-        false,
-    );
-    let knobs = knob_hash(
-        opts.lanes,
-        opts.timing_lanes,
-        opts.incremental,
-        opts.delta_timing,
-        opts.collapse,
-        opts.ci_target,
-        opts.strata,
-        opts.sample_seed,
-    );
-    let setup = open_store(
-        &ctx.checkpoint,
-        "delay_records_adaptive",
-        fingerprint,
-        knobs,
-    )?;
-    let threads = resolve_threads(opts.threads, cycles.len());
-    observe_campaign(
+        opts,
         ctx,
-        &setup,
-        "delay_records_adaptive",
-        population,
-        threads,
-        || {
-            let store = setup.store.as_ref();
-            let resumed = &setup.resumed;
-            let mut row = DelayAvfResult {
-                delay_fraction: fraction,
-                ..DelayAvfResult::default()
-            };
-            let mut records: Vec<InjectionRecord> = Vec::new();
-            loop {
-                let sites = plan.next_round();
-                if sites.is_empty() {
-                    break;
-                }
-                let round_threads = resolve_threads(opts.threads, sites.len());
-                let shards = run_sharded(round_threads, &sites, |shard_id, shard| {
-                    let mut injector = shard_injector(
-                        circuit,
-                        topo,
-                        timing,
-                        golden,
-                        opts.due_slack,
-                        opts.incremental,
-                        opts.delta_timing,
-                        opts.lanes,
-                        opts.timing_lanes,
-                        opts.collapse,
-                    );
-                    let mut row = DelayAvfResult {
-                        delay_fraction: fraction,
-                        ..DelayAvfResult::default()
-                    };
-                    let mut records = Vec::with_capacity(shard.len() * edges.len());
-                    let mut obs = ShardObserver::new(ctx.telemetry, store, shard_id, shard.len());
-                    for &site in shard {
-                        let cycle = cycles[site];
-                        if let Some(payload) = resumed.get(&cycle) {
-                            let (unit_records, failures) = decode_records_unit(payload, cycle)?;
-                            injector.preload_failures(cycle + 1, failures);
-                            for record in &unit_records {
-                                tally(&mut row, &record.outcome);
-                            }
-                            records.extend(unit_records);
-                            obs.unit_done(cycle, None, None)?;
-                            continue;
-                        }
-                        let unit_start = records.len();
-                        timed(S::ENABLED, &mut obs.phases.golden_settle_us, || {
-                            injector.warm_cycle_data(cycle)
-                        });
-                        let pairs: Vec<(EdgeId, Picos)> =
-                            edges.iter().map(|&edge| (edge, extra)).collect();
-                        let parts: Vec<(usize, Vec<DffId>)> =
-                            timed(S::ENABLED, &mut obs.phases.timing_step_us, || {
-                                injector.dynamically_reachable_batch(cycle, &pairs)
-                            });
-                        timed(S::ENABLED, &mut obs.phases.replay_us, || {
-                            injector.prefill_failures(
-                                cycle + 1,
-                                parts.iter().map(|(_, set)| set.clone()),
-                            );
-                            for (&edge, (statically_reachable, dynamic_set)) in
-                                edges.iter().zip(parts)
-                            {
-                                let outcome = injector.classify_injection(
-                                    cycle,
-                                    statically_reachable,
-                                    dynamic_set,
-                                );
-                                tally(&mut row, &outcome);
-                                records.push(InjectionRecord {
-                                    cycle,
-                                    edge,
-                                    outcome,
-                                });
-                            }
-                        });
-                        let payload = store.is_some().then(|| {
-                            encode_records_unit(
-                                &records[unit_start..],
-                                &injector.snapshot_failures(cycle + 1),
-                            )
-                        });
-                        obs.unit_done(cycle, payload, None)?;
-                    }
-                    obs.finish();
-                    Ok::<_, String>((row, records))
-                });
-                let mut round_records: Vec<InjectionRecord> = Vec::new();
-                for shard in shards {
-                    let (shard_row, shard_records) = shard?;
-                    row.merge(&shard_row);
-                    round_records.extend(shard_records);
-                }
-                // Records arrive per cycle in `sites` order (shards chunk the
-                // round contiguously), `edges.len()` apiece — re-derive each
-                // site's visible count for the plan tallies.
-                for (i, &site) in sites.iter().enumerate() {
-                    let unit = &round_records[i * edges.len()..(i + 1) * edges.len()];
-                    let hits = unit.iter().filter(|r| r.outcome.visible).count() as u64;
-                    plan.record(site, &[hits], &[edges.len() as u64]);
-                }
-                records.extend(round_records);
-                plan.finish_round();
+        &edge_items(edges),
+        &[fraction],
+        false,
+    )?;
+    let extra = fraction_to_picos(timing, fraction);
+    let mut plan = cycle_plan(&d, ci_target, buckets, 1);
+    d.observe(plan.population(), || {
+        let mut row = DelayAvfResult {
+            delay_fraction: fraction,
+            ..DelayAvfResult::default()
+        };
+        let mut records: Vec<InjectionRecord> = Vec::new();
+        loop {
+            let sites = plan.next_round();
+            if sites.is_empty() {
+                break;
             }
-            row.adaptive = {
-                let est = plan.estimate(0);
-                Some(AdaptiveEstimate {
-                    point: est.point,
-                    lo: est.lo,
-                    hi: est.hi,
-                    population,
-                    sampled: plan.sampled_sites(),
-                })
-            };
-            Ok((row, records))
-        },
-    )
+            let units = d.run(&sites, |w, &site| {
+                records_unit(&d, w, edges, extra, d.cycles[site])
+            })?;
+            for (&site, unit) in sites.iter().zip(units) {
+                for record in &unit {
+                    tally(&mut row, &record.outcome);
+                }
+                let hits = unit.iter().filter(|r| r.outcome.visible).count() as u64;
+                plan.record(site, &[hits], &[edges.len() as u64]);
+                records.extend(unit);
+            }
+            plan.finish_round();
+        }
+        row.adaptive = Some(adaptive_estimate(&plan, 0));
+        Ok((row, records))
+    })
 }
 
-/// Adaptive counterpart of [`savf_per_bit_campaign_observed`]. Work units
-/// are *cycles* here (the uniform campaign shards over bits): every bit is
-/// an estimand, and a cycle retires only when all bits' intervals are
+/// Adaptive counterpart of [`savf_per_bit_campaign_observed`]: every bit
+/// is an estimand, and a cycle retires only when all bits' intervals are
 /// tight, so hotspot bits keep drawing budget.
 fn savf_per_bit_campaign_adaptive<E: Environment + Clone, S: TelemetrySink>(
     circuit: &Circuit,
@@ -2601,123 +2330,42 @@ fn savf_per_bit_campaign_adaptive<E: Environment + Clone, S: TelemetrySink>(
     ctx: &RunContext<'_, S>,
 ) -> Result<Vec<(DffId, SavfResult)>, String> {
     let (ci_target, buckets) = checked_adaptive(opts.ci_target, opts.strata)?;
-    let cycles = valid_cycles(golden);
-    let mut plan = AdaptivePlan::new(
-        cycle_strata(golden, &cycles, buckets),
-        buckets * buckets,
-        dffs.len().max(1),
-        ci_target,
-        opts.sample_seed,
-    );
-    let population = plan.population();
-    let items: Vec<usize> = dffs.iter().map(|d| d.index()).collect();
-    let fingerprint = campaign_fingerprint(
+    let d = Driver::open(
         "savf_per_bit_adaptive",
         circuit,
+        topo,
         timing,
         golden,
-        &cycles,
-        &items,
-        &[],
-        opts.due_slack,
-        false,
-    );
-    let knobs = knob_hash(
-        opts.lanes,
-        opts.timing_lanes,
-        opts.incremental,
-        opts.delta_timing,
-        opts.collapse,
-        opts.ci_target,
-        opts.strata,
-        opts.sample_seed,
-    );
-    let setup = open_store(&ctx.checkpoint, "savf_per_bit_adaptive", fingerprint, knobs)?;
-    let threads = resolve_threads(opts.threads, cycles.len());
-    observe_campaign(
+        opts,
         ctx,
-        &setup,
-        "savf_per_bit_adaptive",
-        population,
-        threads,
-        || {
-            let store = setup.store.as_ref();
-            let resumed = &setup.resumed;
-            let mut out: Vec<(DffId, SavfResult)> =
-                dffs.iter().map(|&d| (d, SavfResult::default())).collect();
-            loop {
-                let sites = plan.next_round();
-                if sites.is_empty() {
-                    break;
-                }
-                let round_threads = resolve_threads(opts.threads, sites.len());
-                let shards = run_sharded(round_threads, &sites, |shard_id, shard| {
-                    let mut injector = shard_injector(
-                        circuit,
-                        topo,
-                        timing,
-                        golden,
-                        opts.due_slack,
-                        opts.incremental,
-                        opts.delta_timing,
-                        opts.lanes,
-                        opts.timing_lanes,
-                        opts.collapse,
-                    );
-                    let mut flags: Vec<Vec<bool>> = Vec::with_capacity(shard.len());
-                    let mut obs = ShardObserver::new(ctx.telemetry, store, shard_id, shard.len());
-                    for &site in shard {
-                        let cycle = cycles[site];
-                        if let Some(payload) = resumed.get(&cycle) {
-                            let classes = decode_per_bit_unit(payload, dffs.len())?;
-                            let unit: Vec<bool> = classes.iter().map(|c| c.is_visible()).collect();
-                            for (&dff, &class) in dffs.iter().zip(&classes) {
-                                injector.preload_failures(cycle, [(vec![dff], class)]);
-                            }
-                            flags.push(unit);
-                            obs.unit_done(cycle, None, None)?;
-                            continue;
-                        }
-                        let mut unit = Vec::with_capacity(dffs.len());
-                        timed(S::ENABLED, &mut obs.phases.replay_us, || {
-                            injector.prefill_failures(cycle, dffs.iter().map(|&d| vec![d]));
-                            for &dff in dffs {
-                                unit.push(injector.bit_ace(cycle, dff));
-                            }
-                        });
-                        let payload = store
-                            .is_some()
-                            .then(|| encode_per_bit_cycle_unit(&injector, dffs, cycle));
-                        flags.push(unit);
-                        obs.unit_done(cycle, payload, None)?;
-                    }
-                    obs.finish();
-                    Ok::<_, String>(flags)
-                });
-                let mut flags: Vec<Vec<bool>> = Vec::with_capacity(sites.len());
-                for shard in shards {
-                    flags.extend(shard?);
-                }
-                let trials = vec![1u64; dffs.len().max(1)];
-                for (&site, unit) in sites.iter().zip(&flags) {
-                    let hits: Vec<u64> = unit.iter().map(|&v| u64::from(v)).collect();
-                    for ((_, r), &ace) in out.iter_mut().zip(unit) {
-                        r.injections += 1;
-                        if ace {
-                            r.ace_hits += 1;
-                        }
-                    }
-                    if dffs.is_empty() {
-                        plan.record(site, &[0], &[0]);
-                    } else {
-                        plan.record(site, &hits, &trials);
-                    }
-                }
-                plan.finish_round();
+        &dff_items(dffs),
+        &[],
+        false,
+    )?;
+    let mut plan = cycle_plan(&d, ci_target, buckets, dffs.len().max(1));
+    d.observe(plan.population(), || {
+        let mut out: Vec<(DffId, SavfResult)> =
+            dffs.iter().map(|&d| (d, SavfResult::default())).collect();
+        let trials = vec![1u64; dffs.len().max(1)];
+        loop {
+            let sites = plan.next_round();
+            if sites.is_empty() {
+                break;
             }
-            Ok(out)
-        },
-    )
+            let units = d.run(&sites, |w, &site| per_bit_unit(&d, w, dffs, d.cycles[site]))?;
+            for (&site, flags) in sites.iter().zip(&units) {
+                tally_bits(&mut out, flags);
+                if dffs.is_empty() {
+                    plan.record(site, &[0], &[0]);
+                } else {
+                    let hits: Vec<u64> = flags.iter().map(|&v| u64::from(v)).collect();
+                    plan.record(site, &hits, &trials);
+                }
+            }
+            plan.finish_round();
+        }
+        Ok(out)
+    })
 }
 
 /// Adaptive counterpart of [`spatial_double_strike_campaign_observed`]:
@@ -2732,124 +2380,35 @@ fn spatial_double_strike_campaign_adaptive<E: Environment + Clone, S: TelemetryS
     ctx: &RunContext<'_, S>,
 ) -> Result<SavfResult, String> {
     let (ci_target, buckets) = checked_adaptive(opts.ci_target, opts.strata)?;
-    let cycles = valid_cycles(golden);
-    let mut plan = AdaptivePlan::new(
-        cycle_strata(golden, &cycles, buckets),
-        buckets * buckets,
-        1,
-        ci_target,
-        opts.sample_seed,
-    );
-    let population = plan.population();
-    let items: Vec<usize> = dffs.iter().map(|d| d.index()).collect();
-    let fingerprint = campaign_fingerprint(
+    let d = Driver::open(
         "spatial_double_adaptive",
         circuit,
+        topo,
         timing,
         golden,
-        &cycles,
-        &items,
-        &[],
-        opts.due_slack,
-        false,
-    );
-    let knobs = knob_hash(
-        opts.lanes,
-        opts.timing_lanes,
-        opts.incremental,
-        opts.delta_timing,
-        opts.collapse,
-        opts.ci_target,
-        opts.strata,
-        opts.sample_seed,
-    );
-    let setup = open_store(
-        &ctx.checkpoint,
-        "spatial_double_adaptive",
-        fingerprint,
-        knobs,
-    )?;
-    let threads = resolve_threads(opts.threads, cycles.len());
-    observe_campaign(
+        opts,
         ctx,
-        &setup,
-        "spatial_double_adaptive",
-        population,
-        threads,
-        || {
-            let store = setup.store.as_ref();
-            let resumed = &setup.resumed;
-            let mut result = SavfResult::default();
-            loop {
-                let sites = plan.next_round();
-                if sites.is_empty() {
-                    break;
-                }
-                let round_threads = resolve_threads(opts.threads, sites.len());
-                let shards = run_sharded(round_threads, &sites, |shard_id, shard| {
-                    let mut injector = shard_injector(
-                        circuit,
-                        topo,
-                        timing,
-                        golden,
-                        opts.due_slack,
-                        opts.incremental,
-                        opts.delta_timing,
-                        opts.lanes,
-                        opts.timing_lanes,
-                        opts.collapse,
-                    );
-                    let mut units: Vec<SavfResult> = Vec::with_capacity(shard.len());
-                    let mut obs = ShardObserver::new(ctx.telemetry, store, shard_id, shard.len());
-                    for &site in shard {
-                        let cycle = cycles[site];
-                        let was_resumed = if let Some(payload) = resumed.get(&cycle) {
-                            let mut t = Tokens::new(payload);
-                            let failures = decode_failures(&mut t)?;
-                            if !t.finished() {
-                                return Err(
-                                    "checkpoint parse error: trailing payload tokens".into()
-                                );
-                            }
-                            injector.preload_failures(cycle, failures);
-                            true
-                        } else {
-                            false
-                        };
-                        let mut unit = SavfResult::default();
-                        timed(S::ENABLED, &mut obs.phases.replay_us, || {
-                            injector.prefill_failures(cycle, dffs.windows(2).map(|p| p.to_vec()));
-                            for pair in dffs.windows(2) {
-                                unit.injections += 1;
-                                if injector.group_ace(cycle, pair) {
-                                    unit.ace_hits += 1;
-                                }
-                            }
-                        });
-                        let payload = (store.is_some() && !was_resumed).then(|| {
-                            let mut out = String::new();
-                            encode_failures(&mut out, &injector.snapshot_failures(cycle));
-                            out.trim_start().to_owned()
-                        });
-                        units.push(unit);
-                        obs.unit_done(cycle, payload, None)?;
-                    }
-                    obs.finish();
-                    Ok::<_, String>(units)
-                });
-                let mut units: Vec<SavfResult> = Vec::with_capacity(sites.len());
-                for shard in shards {
-                    units.extend(shard?);
-                }
-                for (&site, unit) in sites.iter().zip(&units) {
-                    result.merge(unit);
-                    plan.record(site, &[unit.ace_hits as u64], &[unit.injections as u64]);
-                }
-                plan.finish_round();
+        &dff_items(dffs),
+        &[],
+        false,
+    )?;
+    let mut plan = cycle_plan(&d, ci_target, buckets, 1);
+    d.observe(plan.population(), || {
+        let mut result = SavfResult::default();
+        loop {
+            let sites = plan.next_round();
+            if sites.is_empty() {
+                break;
             }
-            Ok(result)
-        },
-    )
+            let units = d.run(&sites, |w, &site| spatial_unit(&d, w, dffs, d.cycles[site]))?;
+            for (&site, unit) in sites.iter().zip(&units) {
+                result.merge(unit);
+                plan.record(site, &[unit.ace_hits as u64], &[unit.injections as u64]);
+            }
+            plan.finish_round();
+        }
+        Ok(result)
+    })
 }
 
 #[cfg(test)]
@@ -3105,6 +2664,153 @@ mod tests {
         assert_eq!(filtered.len(), golden.sampled_cycles.len() - 3);
     }
 
+    /// `run_units` with a worker-index init and a counting finish: returns
+    /// the results plus how many workers finished.
+    fn run_doubling(
+        threads: usize,
+        items: &[usize],
+        fail_at: &[usize],
+    ) -> (Result<Vec<usize>, String>, usize) {
+        let finished = AtomicUsize::new(0);
+        let result = run_units(
+            threads,
+            items,
+            |worker| {
+                assert!(worker < threads.max(1), "worker {worker} of {threads}");
+                worker
+            },
+            |_, &item| {
+                if fail_at.contains(&item) {
+                    Err(format!("unit {item} failed"))
+                } else {
+                    Ok(item * 2)
+                }
+            },
+            |_| {
+                finished.fetch_add(1, Ordering::Relaxed);
+            },
+        );
+        (result, finished.into_inner())
+    }
+
+    #[test]
+    fn run_units_returns_item_order_on_exactly_the_requested_workers() {
+        let items: Vec<usize> = (0..23).collect();
+        let want: Vec<usize> = items.iter().map(|i| i * 2).collect();
+        for threads in 1..=5 {
+            let (got, workers) = run_doubling(threads, &items, &[]);
+            assert_eq!(got.unwrap(), want, "threads={threads}");
+            assert_eq!(workers, threads, "threads={threads}");
+        }
+        // More workers than items: the idle ones still start and finish.
+        let (got, workers) = run_doubling(8, &items[..3], &[]);
+        assert_eq!(got.unwrap(), vec![0, 2, 4]);
+        assert_eq!(workers, 8);
+        // Empty input.
+        let (got, workers) = run_doubling(3, &[], &[]);
+        assert_eq!(got.unwrap(), Vec::<usize>::new());
+        assert_eq!(workers, 3);
+    }
+
+    #[test]
+    fn run_units_returns_the_lowest_index_error() {
+        let items: Vec<usize> = (0..60).collect();
+        for threads in 1..=5 {
+            for _ in 0..4 {
+                let (got, workers) = run_doubling(threads, &items, &[41, 17, 30]);
+                assert_eq!(got.unwrap_err(), "unit 17 failed", "threads={threads}");
+                assert_eq!(workers, threads);
+            }
+        }
+    }
+
+    /// The counts a telemetry sink saw: resolved threads, the shard of
+    /// every `phase_timers`, the summed `stats_delta`s, and every
+    /// heartbeat's `(shard, done, total)`.
+    #[derive(Default)]
+    struct Seen {
+        threads: Vec<usize>,
+        phase_shards: Vec<usize>,
+        stats: InjectorStats,
+        beats: Vec<(usize, usize, usize)>,
+    }
+
+    #[derive(Default)]
+    struct Recorder(Mutex<Seen>);
+
+    impl TelemetrySink for Recorder {
+        const ENABLED: bool = true;
+
+        fn emit(&self, event: &TelemetryEvent<'_>) {
+            let mut seen = self.0.lock().unwrap();
+            match *event {
+                TelemetryEvent::CampaignStart { threads, .. } => seen.threads.push(threads),
+                TelemetryEvent::PhaseTimers { shard, .. } => seen.phase_shards.push(shard),
+                TelemetryEvent::StatsDelta { stats, .. } => seen.stats.merge(&stats),
+                TelemetryEvent::ShardHeartbeat {
+                    shard, done, total, ..
+                } => seen.beats.push((shard, done, total)),
+                _ => {}
+            }
+        }
+    }
+
+    /// Every worker flushes its last counter delta and emits exactly one
+    /// `phase_timers`, one per worker `campaign_start` announced, and
+    /// heartbeats count the whole campaign.
+    #[test]
+    fn telemetry_matches_the_announced_workers_and_the_returned_counters() {
+        let (c, topo, timing) = fixture();
+        let env = crate::testenv::ObservingEnv::new(5, 20);
+        let golden = prepare_golden(&c, &topo, &env, 100, 5);
+        let units = valid_cycles(&golden).len();
+        assert!(units >= 4, "fixture has {units} units");
+        let dffs: Vec<DffId> = c.dffs().map(|(d, _)| d).collect();
+        let edges = topo.structure_edges(&c, "adder").unwrap();
+        for threads in 1..=5 {
+            let sink = Recorder::default();
+            let ctx = RunContext::new(&sink, None);
+            let config = CampaignConfig {
+                delay_fractions: vec![0.5, 1.0],
+                due_slack: 30,
+                threads,
+                ..CampaignConfig::default()
+            };
+            let (_, sweep_stats) =
+                delay_avf_campaign_observed(&c, &topo, &timing, &golden, &edges, &config, &ctx)
+                    .unwrap();
+            let opts = ReplayOptions::new(30, threads);
+            let (_, savf_stats) =
+                savf_campaign_observed(&c, &topo, &timing, &golden, &dffs, opts, &ctx).unwrap();
+            let seen = sink.0.into_inner().unwrap();
+            let workers = threads.min(units);
+            assert_eq!(seen.threads, vec![workers; 2], "threads={threads}");
+            let mut shards = seen.phase_shards.clone();
+            shards.sort_unstable();
+            let mut want: Vec<usize> = (0..workers).chain(0..workers).collect();
+            want.sort_unstable();
+            assert_eq!(
+                shards, want,
+                "one phase_timers per worker, threads={threads}"
+            );
+            let mut total = sweep_stats;
+            total.merge(&savf_stats);
+            assert_eq!(seen.stats, total, "stats_delta sum, threads={threads}");
+            assert!(seen
+                .beats
+                .iter()
+                .all(|&(shard, done, t)| shard < workers && done <= t && t == units));
+            assert_eq!(
+                seen.beats
+                    .iter()
+                    .filter(|&&(_, done, _)| done == units)
+                    .count(),
+                2,
+                "each campaign's last unit beats once, threads={threads}"
+            );
+        }
+    }
+
     #[test]
     fn thread_resolution_clamps_to_work_items() {
         assert_eq!(resolve_threads(3, 100), 3);
@@ -3125,7 +2831,7 @@ mod tests {
         let (ups, eta) = heartbeat_rates(5, 10, 2.5);
         assert!((ups - 2.0).abs() < 1e-12);
         assert!((eta - 2.5).abs() < 1e-12);
-        // A finished (or overshot) shard reports zero ETA instead of
+        // A finished (or overshot) campaign reports zero ETA instead of
         // panicking on `total - done` underflow.
         assert_eq!(heartbeat_rates(10, 10, 2.0).1, 0.0);
         assert_eq!(heartbeat_rates(11, 10, 2.0).1, 0.0);

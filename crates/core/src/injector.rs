@@ -203,13 +203,13 @@ pub struct InjectorStats {
     /// Bit-parallel batch replays executed (each covers up to `lanes`
     /// scenarios). Zero when `lanes <= 1`. Depends on the configured lane
     /// width — fewer, fuller batches at higher widths — but not on the
-    /// thread count for cycle-sharded campaigns.
+    /// thread count for cycle-unit campaigns.
     pub batched_replays: u64,
     /// Scenario lanes actually occupied across all batch replays: the
     /// number of distinct uncached scenarios retired through the batch
     /// engine. Invariant across lane widths > 1 (deduplication and cache
     /// checks happen before lane chunking) and across thread counts for
-    /// cycle-sharded campaigns.
+    /// cycle-unit campaigns.
     pub lanes_occupied: u64,
     /// Total lane slots *scheduled* across all batch replays (the sum of
     /// chunk sizes, not `batched_replays * lanes` — a partially-filled
@@ -220,7 +220,7 @@ pub struct InjectorStats {
     /// Fault-free timed waveforms simulated and cached by the incremental
     /// timing-aware engine — one per distinct trace cycle that reached the
     /// event-simulation stage. Campaigns iterate cycle-outer/edge-inner and
-    /// the sharded engine partitions by whole cycles, so this count is
+    /// the campaign engine's work units are whole cycles, so this count is
     /// thread-count invariant. Zero when delta timing is disabled.
     pub golden_waveform_builds: u64,
     /// Merged waveform time-steps processed by the delta engine across all
@@ -240,13 +240,13 @@ pub struct InjectorStats {
     /// `timing_lanes` `(edge, extra)` scenarios at one trace cycle). Zero
     /// when `timing_lanes <= 1` or delta timing is disabled. Depends on the
     /// configured timing lane width — fewer, fuller batches at higher widths
-    /// — but not on the thread count for cycle-sharded campaigns.
+    /// — but not on the thread count for cycle-unit campaigns.
     pub batched_timing_replays: u64,
     /// Scenario lanes actually occupied across all timing-aware batch
     /// replays: the number of injections whose step-1 simulation rode a
     /// packed batch. Invariant across timing lane widths > 1 (the static and
     /// toggle pre-filters run before lane chunking) and across thread counts
-    /// for cycle-sharded campaigns.
+    /// for cycle-unit campaigns.
     pub timing_lanes_occupied: u64,
     /// Total lane slots *scheduled* across all timing-aware batch replays
     /// (the sum of chunk sizes, not `batched_timing_replays *
@@ -262,7 +262,7 @@ pub struct InjectorStats {
     /// the fault-free waveform of the cycle, so the faulty run is provably
     /// identical). Collapse classes and quiescence are properties of the
     /// plan and the golden trace alone, so the count is thread-count and
-    /// lane-width invariant for cycle-sharded campaigns. Zero when
+    /// lane-width invariant for cycle-unit campaigns. Zero when
     /// collapsing is disabled.
     pub collapsed_edges: u64,
     /// Representative simulations actually run on behalf of an equivalence
@@ -277,7 +277,7 @@ pub struct InjectorStats {
     /// propagated difference cone provably corrupts an observed output word
     /// of an environment with a faithful transcript. One count per distinct
     /// `(boundary, flip set)` discharged, so the total is thread-count and
-    /// lane-width invariant for cycle-sharded campaigns. Zero when
+    /// lane-width invariant for cycle-unit campaigns. Zero when
     /// collapsing is disabled.
     pub formally_discharged_ace: u64,
     /// Flip groups the semi-formal masking check classified as Masked
@@ -308,7 +308,7 @@ pub struct InjectorStats {
 impl InjectorStats {
     /// Adds another worker's counters into this one.
     ///
-    /// The sharded campaign engine partitions work by whole cycles and every
+    /// The campaign engine's work units are whole cycles and every
     /// cache key is scoped to a single latch boundary, so cache hit/miss
     /// counts are partition-independent: the merged totals are identical to
     /// a serial run's for any thread count.
@@ -1570,6 +1570,17 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
             }
         }
         false
+    }
+
+    /// Drops the replay engines' cached golden settles of the cycles before
+    /// `cycle`, which no replay from a boundary at or after `cycle` reads.
+    /// Campaign workers take their units in ascending cycle order, so
+    /// calling this at the start of each unit keeps a worker's caches to
+    /// the part of the trace still ahead of it. Touches no counters and
+    /// never changes results.
+    pub fn release_golden_before(&mut self, cycle: u64) {
+        self.diff.release_golden_before(cycle);
+        self.batch.release_golden_before(cycle);
     }
 
     /// Reconstructs (and caches) the golden per-cycle context shared by

@@ -7,7 +7,7 @@
 //! path. This module provides:
 //!
 //! * [`TelemetrySink`] — the campaign-side abstraction. The associated
-//!   `ENABLED` constant lets the sharded engine skip *all* observability
+//!   `ENABLED` constant lets the campaign engine skip *all* observability
 //!   work (including every `Instant::now()` call) when the sink is
 //!   [`NullTelemetry`]: campaigns are generic over the sink type, so the
 //!   disabled path monomorphizes to exactly the code that existed before
@@ -21,11 +21,16 @@
 //!   against.
 //!
 //! Event stream shape (schema version [`TELEMETRY_SCHEMA_VERSION`]): one
-//! `campaign_start` per campaign, per-shard `shard_heartbeat` (with
-//! units/sec and an ETA), per-shard `phase_timers` wall-clock totals
-//! (golden-settle build / timing step / GroupACE replay), periodic
-//! `stats_delta` engine-counter deltas, `checkpoint_flush` markers, and a
-//! final `campaign_end`.
+//! `campaign_start` per campaign, per-worker `shard_heartbeat` (with
+//! campaign-wide progress, units/sec and an ETA), per-worker
+//! `phase_timers` wall-clock totals (golden-settle build / timing step /
+//! GroupACE replay), per-worker `stats_delta` engine-counter deltas that
+//! sum to the campaign's returned counters, `checkpoint_flush` markers,
+//! and a final `campaign_end`.
+//!
+//! Workers claim units from a shared cursor and own no fixed range of
+//! them, so `shard` is a worker index below `campaign_start.threads` and
+//! heartbeat `done`/`total` count the whole campaign's units.
 
 use std::fmt::Write as _;
 use std::io::Write;
@@ -35,10 +40,10 @@ use std::time::Instant;
 use crate::injector::InjectorStats;
 
 /// Version stamped into every emitted line as `"v"`; bumped whenever an
-/// event gains, loses or renames a field.
-pub const TELEMETRY_SCHEMA_VERSION: u64 = 4;
+/// event gains, loses or renames a field, or a field changes meaning.
+pub const TELEMETRY_SCHEMA_VERSION: u64 = 5;
 
-/// Per-shard wall-clock totals of the three phases of a DelayAVF work
+/// Per-worker wall-clock totals of the three phases of a DelayAVF work
 /// unit, in microseconds. Only accumulated when the sink is enabled.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseTotals {
@@ -67,45 +72,56 @@ impl PhaseTotals {
 /// on the campaign side.
 #[derive(Clone, Copy, Debug)]
 pub enum TelemetryEvent<'a> {
-    /// A campaign is starting: how much work it has and how it is sharded.
+    /// A campaign is starting: how much work it has and how many workers
+    /// run it.
     CampaignStart {
         /// Campaign kind label (`delay_sweep`, `savf`, ...).
         campaign: &'a str,
-        /// Total work units (cycles, or bits for the per-bit campaign).
+        /// Total work units: trace cycles, or for adaptive campaigns the
+        /// sites of the sampling population.
         units: usize,
-        /// Resolved worker-thread count.
+        /// Resolved worker-thread count; every `shard` index in the
+        /// campaign's events is below it.
         threads: usize,
         /// Units restored from a resumed checkpoint (0 on a fresh run).
         resumed_units: usize,
     },
-    /// Periodic per-shard progress: always emitted for a shard's first and
-    /// last unit, and at most every ~250 ms in between.
+    /// Periodic progress, emitted by the worker that finished a unit:
+    /// always for each worker's first unit and for the campaign's last
+    /// unit, and at most every ~250 ms per worker in between.
     ShardHeartbeat {
-        /// Shard index (shards partition the unit axis contiguously).
+        /// Index of the emitting worker. Workers claim units from a shared
+        /// cursor, so a worker owns no fixed range of units.
         shard: usize,
-        /// Units finished by this shard so far.
+        /// Units finished campaign-wide so far (within the current round
+        /// for adaptive campaigns). Workers emit concurrently, so `done`
+        /// need not increase from one line to the next.
         done: usize,
-        /// Units owned by this shard.
+        /// Units in the campaign (in the current round for adaptive
+        /// campaigns).
         total: usize,
-        /// Finished units per wall-clock second (resumed units count —
-        /// they are real progress through the unit axis).
+        /// Campaign-wide finished units per wall-clock second (resumed
+        /// units count — they are real progress through the unit axis).
         units_per_sec: f64,
-        /// Estimated seconds until this shard finishes at the current
-        /// rate.
+        /// Estimated seconds until the campaign (or round) finishes at
+        /// the current rate.
         eta_s: f64,
     },
-    /// A shard's accumulated per-phase wall-clock totals, emitted once
-    /// when the shard finishes.
+    /// A worker's accumulated per-phase wall-clock totals, emitted once
+    /// when it runs out of units (once per round for adaptive campaigns).
     PhaseTimers {
-        /// Shard index.
+        /// Worker index.
         shard: usize,
         /// Phase totals in microseconds.
         phases: PhaseTotals,
     },
     /// Engine-counter delta since the previous `stats_delta` of the same
-    /// shard (emitted with heartbeats, for campaigns that track stats).
+    /// worker, for campaigns that return counters: emitted with heartbeats
+    /// and flushed when the worker finishes, so a campaign's deltas sum to
+    /// its returned counters (except the adaptive plan's three counters,
+    /// which are set once after the last round).
     StatsDelta {
-        /// Shard index.
+        /// Worker index.
         shard: usize,
         /// The counter delta.
         stats: InjectorStats,
@@ -129,7 +145,7 @@ pub enum TelemetryEvent<'a> {
 /// A campaign observability sink.
 ///
 /// Implementations must be [`Sync`]: one sink instance is shared by all
-/// worker threads of the sharded engine.
+/// worker threads of the campaign engine.
 pub trait TelemetrySink: Sync {
     /// Whether this sink observes anything at all. Campaigns consult this
     /// *constant* to skip clock reads and event construction entirely, so
@@ -617,11 +633,11 @@ mod tests {
         assert!(validate_line(r#"{"v":99,"t_ms":0,"event":"campaign_end"}"#)
             .unwrap_err()
             .contains("schema version"));
-        assert!(validate_line(r#"{"v":4,"t_ms":0,"event":"wat"}"#)
+        assert!(validate_line(r#"{"v":5,"t_ms":0,"event":"wat"}"#)
             .unwrap_err()
             .contains("unknown event"));
         assert!(
-            validate_line(r#"{"v":4,"t_ms":0,"event":"checkpoint_flush"}"#)
+            validate_line(r#"{"v":5,"t_ms":0,"event":"checkpoint_flush"}"#)
                 .unwrap_err()
                 .contains("completed_units")
         );

@@ -574,6 +574,13 @@ impl<'c> BatchSim<'c> {
         out
     }
 
+    /// Drops the cached golden blocks that end before `cycle`. Only memory
+    /// changes: a later batch through a dropped block settles it again.
+    pub fn release_golden_before(&mut self, cycle: u64) {
+        let end = self.golden_blocks.len().min((cycle / 64) as usize);
+        self.golden_blocks[..end].fill(None);
+    }
+
     /// Ensures the golden net values for the 64-cycle block containing the
     /// current cycle are cached. The whole block settles in *one*
     /// bit-parallel sweep of the plan with the lanes standing for

@@ -339,6 +339,14 @@ impl<'c> DiffSim<'c> {
         }
     }
 
+    /// Drops the cached golden settles of every cycle before `cycle`. Only
+    /// memory changes: a later replay through a dropped cycle settles it
+    /// again.
+    pub fn release_golden_before(&mut self, cycle: u64) {
+        let end = self.golden_nets.len().min(cycle as usize);
+        self.golden_nets[..end].fill(None);
+    }
+
     /// Ensures the packed golden net values for the current cycle are
     /// cached, settling the recorded state/input words through the whole
     /// circuit once. Every replay crossing this cycle shares the result.
@@ -434,6 +442,30 @@ mod tests {
             assert_eq!(diff.outputs(), full.last_outputs());
         }
         assert!(diff.gates_evaluated() > 0);
+    }
+
+    #[test]
+    fn released_golden_cycles_settle_again_identically() {
+        let c = fixture();
+        let topo = Topology::new(&c);
+        let trace = golden(&c, &topo, 10);
+        let flips: Vec<DffId> = c.dffs().map(|(id, _)| id).take(3).collect();
+        let run = |diff: &mut DiffSim| {
+            diff.begin(2, &flips, &trace);
+            let mut env = ConstEnvironment::new(vec![3]);
+            let mut states = Vec::new();
+            while diff.cycle() < trace.num_cycles() {
+                diff.step(&mut env, &trace);
+                states.push((diff.state_bits(&trace), diff.outputs().to_vec()));
+            }
+            states
+        };
+        let mut diff = DiffSim::new(&c, &topo);
+        let first = run(&mut diff);
+        diff.release_golden_before(6);
+        assert!(diff.golden_nets[..6].iter().all(Option::is_none));
+        assert!(diff.golden_nets[6..].iter().any(Option::is_some));
+        assert_eq!(run(&mut diff), first);
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! checkpoint down to a strict subset of its `unit` lines and resume from
 //! that.
 
+use std::fmt::Debug;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -20,8 +21,8 @@ use delayavf::{
     delay_avf_campaign_observed, delay_avf_campaign_records, delay_avf_campaign_records_observed,
     delay_avf_campaign_with_stats, prepare_golden_seeded, sample_edges, savf_campaign_observed,
     savf_campaign_with_stats, savf_per_bit_campaign, savf_per_bit_campaign_observed,
-    spatial_double_strike_campaign, spatial_double_strike_campaign_observed, CampaignConfig,
-    CheckpointSpec, GoldenRun, ReplayOptions, RunContext, NULL_TELEMETRY,
+    spatial_double_strike_campaign, spatial_double_strike_campaign_observed, valid_cycles,
+    CampaignConfig, CheckpointSpec, GoldenRun, ReplayOptions, RunContext, NULL_TELEMETRY,
 };
 use delayavf_netlist::{DffId, Topology};
 use delayavf_rvcore::{Core, CoreConfig, MemEnv, DEFAULT_RAM_BYTES};
@@ -698,6 +699,137 @@ fn stale_or_foreign_checkpoints_are_rejected_not_merged() {
     assert!(
         err.contains("checkpoint parse error"),
         "torn file not pinned: {err}"
+    );
+    fs::remove_dir_all(dir).unwrap();
+}
+
+/// Writes a complete checkpoint through `run(threads, path, resume)` at 2
+/// threads, keeps every other cycle's unit, then resumes a copy at 1, 2
+/// and 3 threads; every run must return `want`.
+fn check_gapped_resume<R: PartialEq + Debug>(
+    dir: &Path,
+    name: &str,
+    want: &R,
+    run: impl Fn(usize, &Path, bool) -> R,
+) {
+    let path = dir.join(format!("{name}.ckpt"));
+    assert_eq!(&run(2, &path, false), want, "checkpointing changed {name}");
+    truncate_units(&path, 2);
+    for threads in 1..=3 {
+        let copy = dir.join(format!("{name}-t{threads}.ckpt"));
+        fs::copy(&path, &copy).unwrap();
+        assert_eq!(
+            &run(threads, &copy, true),
+            want,
+            "{name} resumed at {threads} threads"
+        );
+    }
+}
+
+/// Work-stealing workers claim cycles from a shared cursor and finish them
+/// out of order, so a SIGKILL can leave completed units that are not a
+/// prefix of the cycle axis. Keeping every other cycle's unit models that
+/// worst case: resuming from it must be byte-identical, counters included,
+/// at 1, 2 and 3 threads for all five campaigns. The per-bit campaign's
+/// units are cycles too, so a checkpoint from its older bit-keyed layout
+/// is a pinned `checkpoint mismatch`.
+#[test]
+fn non_contiguous_checkpoints_resume_byte_identically_at_any_thread_count() {
+    let s = setup();
+    let dir = tmpdir();
+    let c = &s.core.circuit;
+    let edges = sample_edges(&s.topo.structure_edges(c, "decoder").unwrap(), 12, 17);
+    let dffs: Vec<DffId> = c
+        .structure("lsu")
+        .unwrap()
+        .dffs()
+        .iter()
+        .copied()
+        .take(6)
+        .collect();
+    let config = CampaignConfig {
+        delay_fractions: vec![0.9],
+        compute_orace: true,
+        due_slack: 500,
+        threads: 1,
+        ..CampaignConfig::default()
+    };
+    let opts = ReplayOptions::new(500, 1);
+
+    let want = delay_avf_campaign_with_stats(c, &s.topo, &s.timing, &s.golden, &edges, &config);
+    check_gapped_resume(&dir, "sweep", &want, |threads, path, resume| {
+        let config = config.clone().with_threads(threads);
+        let ctx = ctx(path, 1, resume);
+        delay_avf_campaign_observed(c, &s.topo, &s.timing, &s.golden, &edges, &config, &ctx)
+            .unwrap()
+    });
+
+    let want = savf_campaign_with_stats(c, &s.topo, &s.timing, &s.golden, &dffs, opts);
+    check_gapped_resume(&dir, "savf", &want, |threads, path, resume| {
+        let opts = opts.with_threads(threads);
+        let ctx = ctx(path, 1, resume);
+        savf_campaign_observed(c, &s.topo, &s.timing, &s.golden, &dffs, opts, &ctx).unwrap()
+    });
+
+    let want = delay_avf_campaign_records(c, &s.topo, &s.timing, &s.golden, &edges, 0.9, opts);
+    check_gapped_resume(&dir, "records", &want, |threads, path, resume| {
+        let opts = opts.with_threads(threads);
+        let ctx = ctx(path, 1, resume);
+        delay_avf_campaign_records_observed(
+            c, &s.topo, &s.timing, &s.golden, &edges, 0.9, opts, &ctx,
+        )
+        .unwrap()
+    });
+
+    let want = savf_per_bit_campaign(c, &s.topo, &s.timing, &s.golden, &dffs, opts);
+    check_gapped_resume(&dir, "perbit", &want, |threads, path, resume| {
+        let opts = opts.with_threads(threads);
+        let ctx = ctx(path, 1, resume);
+        savf_per_bit_campaign_observed(c, &s.topo, &s.timing, &s.golden, &dffs, opts, &ctx).unwrap()
+    });
+
+    let want = spatial_double_strike_campaign(c, &s.topo, &s.timing, &s.golden, &dffs, opts);
+    check_gapped_resume(&dir, "spatial", &want, |threads, path, resume| {
+        let opts = opts.with_threads(threads);
+        let ctx = ctx(path, 1, resume);
+        spatial_double_strike_campaign_observed(c, &s.topo, &s.timing, &s.golden, &dffs, opts, &ctx)
+            .unwrap()
+    });
+
+    // The per-bit checkpoint is keyed by cycle: its completed file holds
+    // one unit per valid cycle.
+    let text = fs::read_to_string(dir.join("perbit-t1.ckpt")).unwrap();
+    let keys: Vec<u64> = text
+        .lines()
+        .filter_map(|l| l.strip_prefix("unit "))
+        .map(|l| l.split(' ').next().unwrap().parse().unwrap())
+        .collect();
+    assert_eq!(keys, valid_cycles(&s.golden), "per-bit units are cycles");
+
+    // A per-bit checkpoint in the older layout — one unit per flip-flop,
+    // one class per cycle — must be rejected, not merged.
+    let old = dir.join("perbit-bit-keyed.ckpt");
+    let classes = "M".repeat(valid_cycles(&s.golden).len());
+    let mut text =
+        String::from("delayavf-checkpoint v2 savf_per_bit\nfingerprint 0123456789abcdef\n");
+    text.push_str("knobs 0123456789abcdef\n");
+    for d in &dffs {
+        text.push_str(&format!("unit {} cls .{classes}\n", d.index()));
+    }
+    fs::write(&old, text).unwrap();
+    let err = savf_per_bit_campaign_observed(
+        c,
+        &s.topo,
+        &s.timing,
+        &s.golden,
+        &dffs,
+        opts,
+        &ctx(&old, 1, true),
+    )
+    .unwrap_err();
+    assert!(
+        err.contains("checkpoint mismatch"),
+        "bit-keyed per-bit checkpoint not pinned: {err}"
     );
     fs::remove_dir_all(dir).unwrap();
 }

@@ -1,11 +1,12 @@
-//! The sharded campaign engine's headline guarantee, checked on the real
-//! gate-level core: for any worker-thread count the campaigns return
-//! results — including ORACE statistics and the merged injector cache
-//! counters — bit-for-bit identical to a serial run.
+//! The work-stealing campaign engine's headline guarantee, checked on the
+//! real gate-level core: for any worker-thread count — divisors of the
+//! unit count or not — the campaigns return results, including ORACE
+//! statistics and the merged injector cache counters, bit-for-bit
+//! identical to a serial run, on the uniform and the adaptive paths.
 
 use delayavf::{
     delay_avf_campaign_records, delay_avf_campaign_with_stats, prepare_golden_seeded, sample_edges,
-    savf_campaign_with_stats, savf_per_bit_campaign, spatial_double_strike_campaign,
+    savf_campaign_with_stats, savf_per_bit_campaign, spatial_double_strike_campaign, valid_cycles,
     CampaignConfig, ReplayOptions,
 };
 use delayavf_netlist::{DffId, Topology};
@@ -141,7 +142,20 @@ fn all_campaigns_are_thread_count_invariant_on_the_real_core() {
         serial_opts,
     );
 
-    for threads in [2, 4] {
+    // Per-bit tallies transpose the cycle units: they must add up to the
+    // aggregate sAVF campaign over the same bits.
+    let bit_hits: usize = serial_per_bit.iter().map(|(_, r)| r.ace_hits).sum();
+    let bit_trials: usize = serial_per_bit.iter().map(|(_, r)| r.injections).sum();
+    assert_eq!(
+        (bit_hits, bit_trials),
+        (serial_savf.ace_hits, serial_savf.injections),
+        "per-bit tallies sum to the aggregate sAVF"
+    );
+
+    // 3 does not divide the unit count, so workers end up with uneven,
+    // non-contiguous sets of cycles.
+    assert_ne!(valid_cycles(&s.golden).len() % 3, 0);
+    for threads in [2, 3, 4] {
         let cfg = config.clone().with_threads(threads);
         let opts = ReplayOptions::new(500, threads);
         let (rows, stats) = delay_avf_campaign_with_stats(
@@ -194,6 +208,61 @@ fn all_campaigns_are_thread_count_invariant_on_the_real_core() {
             opts,
         );
         assert_eq!(spatial, serial_spatial, "spatial with {threads} threads");
+    }
+}
+
+/// The adaptive drivers (`ci_target` set) merge each round's units in unit
+/// order too, so all five campaigns — reports, records, per-bit tallies
+/// and counters — are thread-count invariant.
+#[test]
+fn adaptive_campaigns_are_thread_count_invariant_on_the_real_core() {
+    let s = setup();
+    let edges = sample_edges(
+        &s.topo.structure_edges(&s.core.circuit, "alu").unwrap(),
+        16,
+        17,
+    );
+    let dffs: Vec<DffId> = s
+        .core
+        .circuit
+        .structure("lsu")
+        .unwrap()
+        .dffs()
+        .iter()
+        .copied()
+        .take(8)
+        .collect();
+    let run = |threads: usize| {
+        let config = CampaignConfig {
+            delay_fractions: vec![0.5, 0.9],
+            compute_orace: true,
+            due_slack: 500,
+            threads,
+            ci_target: Some(0.15),
+            strata: 2,
+            ..CampaignConfig::default()
+        };
+        let opts = ReplayOptions::new(500, threads)
+            .with_ci_target(Some(0.15))
+            .with_strata(2);
+        let c = &s.core.circuit;
+        (
+            delay_avf_campaign_with_stats(c, &s.topo, &s.timing, &s.golden, &edges, &config),
+            savf_campaign_with_stats(c, &s.topo, &s.timing, &s.golden, &dffs, opts),
+            delay_avf_campaign_records(c, &s.topo, &s.timing, &s.golden, &edges, 0.9, opts),
+            savf_per_bit_campaign(c, &s.topo, &s.timing, &s.golden, &dffs, opts),
+            spatial_double_strike_campaign(c, &s.topo, &s.timing, &s.golden, &dffs, opts),
+        )
+    };
+    let serial = run(1);
+    assert!(serial.0 .0[0].adaptive.is_some(), "the adaptive path ran");
+    for threads in [2, 3] {
+        let got = run(threads);
+        assert_eq!(got.0, serial.0, "adaptive sweep, {threads} threads");
+        assert_eq!(got.1, serial.1, "adaptive sAVF, {threads} threads");
+        assert_eq!(got.2, serial.2, "adaptive records, {threads} threads");
+        assert_eq!(got.3, serial.3, "adaptive per-bit, {threads} threads");
+        assert_eq!(got.4, serial.4, "adaptive spatial, {threads} threads");
     }
 }
 

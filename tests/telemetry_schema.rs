@@ -9,17 +9,23 @@
 //! with checkpointing enabled (so `checkpoint_flush` events appear), and
 //! once end-to-end through the bench harness by running the fig10
 //! experiment at the tiny scale with `--telemetry` pointed at a real file,
-//! exactly as the CLI wires it.
+//! exactly as the CLI wires it. A third check pins the stream's
+//! accounting: the `stats_delta` events of a campaign sum to the counters
+//! it returns, and it emits one `phase_timers` per announced worker.
 
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::PathBuf;
+use std::sync::Mutex;
 
 use delayavf::{
     delay_avf_campaign_observed, delay_avf_campaign_with_stats, prepare_golden_seeded,
-    sample_edges, validate_line, CampaignConfig, CheckpointSpec, JsonlTelemetry, RunContext,
+    sample_edges, savf_campaign_observed, validate_line, CampaignConfig, CheckpointSpec,
+    InjectorStats, JsonlTelemetry, ReplayOptions, RunContext, TelemetryEvent, TelemetrySink,
     TELEMETRY_SCHEMA_VERSION,
 };
 use delayavf_bench::{fig10, Harness, Observability, Opts};
+use delayavf_netlist::DffId;
 use delayavf_netlist::Topology;
 use delayavf_rvcore::{CoreConfig, MemEnv, DEFAULT_RAM_BYTES};
 use delayavf_timing::{TechLibrary, TimingModel};
@@ -159,4 +165,113 @@ fn fig10_tiny_telemetry_stream_validates_end_to_end() {
         "no checkpoint flushes despite --checkpoint-dir"
     );
     fs::remove_dir_all(dir).unwrap();
+}
+
+/// Per campaign: the announced thread count, every `phase_timers` shard,
+/// and the summed `stats_delta` counters.
+#[derive(Default)]
+struct Accounting {
+    campaigns: Vec<(usize, Vec<usize>, InjectorStats)>,
+}
+
+#[derive(Default)]
+struct AccountingSink(Mutex<Accounting>);
+
+impl TelemetrySink for AccountingSink {
+    const ENABLED: bool = true;
+
+    fn emit(&self, event: &TelemetryEvent<'_>) {
+        let mut acc = self.0.lock().unwrap();
+        match *event {
+            TelemetryEvent::CampaignStart { threads, .. } => {
+                acc.campaigns
+                    .push((threads, Vec::new(), InjectorStats::default()));
+            }
+            TelemetryEvent::PhaseTimers { shard, .. } => {
+                acc.campaigns.last_mut().unwrap().1.push(shard);
+            }
+            TelemetryEvent::StatsDelta { stats, .. } => {
+                acc.campaigns.last_mut().unwrap().2.merge(&stats);
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Every worker flushes its last counter delta when it runs out of units,
+/// so the deltas sum to the returned counters at every thread count — the
+/// adaptive plan's three counters excepted, which are set after the last
+/// round — and each uniform campaign emits exactly one `phase_timers` per
+/// announced worker, with every shard index below the announced count.
+#[test]
+fn stats_deltas_sum_to_the_returned_counters() {
+    let core = delayavf_rvcore::build_core(CoreConfig::default());
+    let topo = Topology::new(&core.circuit);
+    let timing = TimingModel::analyze(&core.circuit, &topo, &TechLibrary::nangate45_like());
+    let w = Kernel::Libfibcall.build(Scale::Tiny);
+    let p = w.assemble().expect("workload assembles");
+    let env = MemEnv::new(&core.circuit, DEFAULT_RAM_BYTES, &p);
+    let golden = prepare_golden_seeded(&core.circuit, &topo, &env, w.max_cycles, 7, 17);
+    let edges = sample_edges(
+        &topo.structure_edges(&core.circuit, "decoder").unwrap(),
+        8,
+        17,
+    );
+    let dffs: Vec<DffId> = core.circuit.structure("lsu").unwrap().dffs()[..6].to_vec();
+    for threads in 1..=3 {
+        let sink = AccountingSink::default();
+        let ctx = RunContext::new(&sink, None);
+        let config = CampaignConfig {
+            delay_fractions: vec![0.9],
+            due_slack: 500,
+            threads,
+            ..CampaignConfig::default()
+        };
+        let opts = ReplayOptions::new(500, threads);
+        let c = &core.circuit;
+        let mut returned = vec![
+            delay_avf_campaign_observed(c, &topo, &timing, &golden, &edges, &config, &ctx)
+                .unwrap()
+                .1,
+            savf_campaign_observed(c, &topo, &timing, &golden, &dffs, opts, &ctx)
+                .unwrap()
+                .1,
+        ];
+        let adaptive = config.clone().with_ci_target(Some(0.2));
+        let mut stats =
+            delay_avf_campaign_observed(c, &topo, &timing, &golden, &edges, &adaptive, &ctx)
+                .unwrap()
+                .1;
+        (
+            stats.strata_active,
+            stats.strata_retired_early,
+            stats.adaptive_replays_saved,
+        ) = (0, 0, 0);
+        returned.push(stats);
+
+        let acc = sink.0.into_inner().unwrap();
+        assert_eq!(acc.campaigns.len(), 3);
+        for (i, ((announced, shards, streamed), want)) in
+            acc.campaigns.iter().zip(&returned).enumerate()
+        {
+            assert_eq!(streamed, want, "campaign {i} at {threads} threads");
+            assert!(
+                shards.iter().all(|&s| s < *announced),
+                "campaign {i}: {shards:?}"
+            );
+            if i < 2 {
+                let distinct: BTreeSet<usize> = shards.iter().copied().collect();
+                assert_eq!(
+                    shards.len(),
+                    *announced,
+                    "campaign {i} at {threads} threads"
+                );
+                assert_eq!(
+                    distinct.len(),
+                    *announced,
+                    "campaign {i} at {threads} threads"
+                );
+            }
+        }
+    }
 }
