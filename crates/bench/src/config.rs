@@ -313,16 +313,15 @@ impl ExperimentSpec {
         let config = CampaignConfig {
             delay_fractions: self.delay_fractions.clone(),
             compute_orace: self.orace,
-            due_slack: self.due_slack,
-            threads: self.threads,
-            incremental: self.incremental,
-            delta_timing: self.delta_timing,
-            lanes: self.lanes,
-            timing_lanes: self.timing_lanes,
-            collapse: self.collapse,
-            ci_target: self.ci_target,
-            strata: self.strata,
-            sample_seed: self.seed,
+            replay: delayavf::ReplayOptions::new(self.due_slack, self.threads)
+                .with_incremental(self.incremental)
+                .with_delta_timing(self.delta_timing)
+                .with_lanes(self.lanes)
+                .with_timing_lanes(self.timing_lanes)
+                .with_collapse(self.collapse)
+                .with_ci_target(self.ci_target)
+                .with_strata(self.strata)
+                .with_sample_seed(self.seed),
         };
         let obs = Observability::create(
             self.telemetry.as_deref(),

@@ -84,16 +84,7 @@ fn sweep(
     let config = CampaignConfig {
         delay_fractions: fractions.to_vec(),
         compute_orace: orace,
-        due_slack: opts.due_slack,
-        threads: opts.threads,
-        incremental: opts.incremental,
-        delta_timing: opts.delta_timing,
-        lanes: opts.lanes,
-        timing_lanes: opts.timing_lanes,
-        collapse: opts.collapse,
-        ci_target: opts.ci_target,
-        strata: opts.strata,
-        sample_seed: opts.seed,
+        replay: opts.replay_options(),
     };
     Ok(run_delay_campaign(
         &obs,
@@ -622,16 +613,7 @@ pub fn variance(h: &mut Harness, opts: &Opts) -> Result<Experiment, String> {
             &CampaignConfig {
                 delay_fractions: vec![0.8],
                 compute_orace: false,
-                due_slack: seeded.due_slack,
-                threads: seeded.threads,
-                incremental: seeded.incremental,
-                delta_timing: seeded.delta_timing,
-                lanes: seeded.lanes,
-                timing_lanes: seeded.timing_lanes,
-                collapse: seeded.collapse,
-                ci_target: seeded.ci_target,
-                strata: seeded.strata,
-                sample_seed: seeded.seed,
+                replay: seeded.replay_options(),
             },
         )?
         .0[0];

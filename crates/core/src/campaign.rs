@@ -1,5 +1,19 @@
 //! Fault-injection campaigns: DelayAVF sweeps and particle-strike sAVF.
 //!
+//! # One driver
+//!
+//! All five campaigns — the DelayAVF sweep, the per-record sweep, sAVF,
+//! per-bit sAVF and spatial double strikes — run through one generic
+//! driver (`run_campaign`). A campaign supplies only its checkpoint kinds,
+//! its sites per cycle (one for the cycle-site campaigns, one per edge for
+//! the sweep), its unit body and a fold that merges one unit into the
+//! output and hands its hits and trials to the adaptive plan. With
+//! [`ReplayOptions::ci_target`] unset (the default) a campaign is
+//! **uniform**: a single round over every valid cycle, with no strata
+//! built and unit keys equal to the cycle. With it set, the driver
+//! stratifies the sites, runs rounds until the plan retires every stratum,
+//! and a finish step fills in the adaptive columns and counters.
+//!
 //! # Work-stealing parallel engine
 //!
 //! Every injection is independent given the golden trace, so every
@@ -71,9 +85,8 @@ use crate::result::{AdaptiveEstimate, DelayAvfResult, OraceStats, SavfResult};
 use crate::sampling::{bucket_axis, validate_ci_target, validate_strata, AdaptivePlan};
 use crate::telemetry::{NullTelemetry, PhaseTotals, TelemetryEvent, TelemetrySink, NULL_TELEMETRY};
 
-/// Replay-engine options shared by the particle-strike campaign entry
-/// points (the DelayAVF sweeps carry the same knobs in
-/// [`CampaignConfig`]).
+/// Replay-engine options shared by every campaign entry point (the
+/// DelayAVF sweeps embed them in [`CampaignConfig::replay`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ReplayOptions {
     /// Extra cycles past the golden program length before a non-halting
@@ -154,66 +167,10 @@ impl ReplayOptions {
             ..ReplayOptions::default()
         }
     }
-
-    /// Builder-style override of the worker-thread count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Builder-style toggle of the incremental replay engine.
-    pub fn with_incremental(mut self, enabled: bool) -> Self {
-        self.incremental = enabled;
-        self
-    }
-
-    /// Builder-style toggle of the incremental timing-aware engine.
-    pub fn with_delta_timing(mut self, enabled: bool) -> Self {
-        self.delta_timing = enabled;
-        self
-    }
-
-    /// Builder-style override of the batch lane width (`1` = scalar
-    /// baseline, `0` = maximum width).
-    pub fn with_lanes(mut self, lanes: usize) -> Self {
-        self.lanes = lanes;
-        self
-    }
-
-    /// Builder-style override of the timing batch lane width (`1` =
-    /// scalar baseline, `0` = maximum width).
-    pub fn with_timing_lanes(mut self, timing_lanes: usize) -> Self {
-        self.timing_lanes = timing_lanes;
-        self
-    }
-
-    /// Builder-style toggle of the pre-simulation collapsing layer.
-    pub fn with_collapse(mut self, enabled: bool) -> Self {
-        self.collapse = enabled;
-        self
-    }
-
-    /// Builder-style override of the adaptive-sampling CI target
-    /// (`None` = uniform legacy path).
-    pub fn with_ci_target(mut self, ci_target: Option<f64>) -> Self {
-        self.ci_target = ci_target;
-        self
-    }
-
-    /// Builder-style override of the per-axis stratification bucket count.
-    pub fn with_strata(mut self, strata: usize) -> Self {
-        self.strata = strata;
-        self
-    }
-
-    /// Builder-style override of the adaptive visit-order seed.
-    pub fn with_sample_seed(mut self, sample_seed: u64) -> Self {
-        self.sample_seed = sample_seed;
-        self
-    }
 }
 
-/// Configuration of a DelayAVF campaign.
+/// Configuration of a DelayAVF campaign: the sweep parameters plus the
+/// engine knobs every campaign shares.
 #[derive(Clone, Debug)]
 pub struct CampaignConfig {
     /// Delay durations to sweep, as fractions of the clock period (the
@@ -222,34 +179,8 @@ pub struct CampaignConfig {
     /// Also evaluate the ORACE approximation per injection (needed for
     /// Table III; costs one replay per distinct (cycle, bit)).
     pub compute_orace: bool,
-    /// Extra cycles past the golden program length before a non-halting
-    /// faulty run is declared a DUE.
-    pub due_slack: u64,
-    /// Worker threads for the campaign engine. `0` (the default) resolves
-    /// to [`std::thread::available_parallelism`]. Results are identical
-    /// for every value; only wall-clock time changes.
-    pub threads: usize,
-    /// Use the incremental divergence-cone replay engine (the default);
-    /// see [`ReplayOptions::incremental`].
-    pub incremental: bool,
-    /// Use the incremental timing-aware engine for step 1 (the default);
-    /// see [`ReplayOptions::delta_timing`].
-    pub delta_timing: bool,
-    /// Lane width for bit-parallel batch replays; see
-    /// [`ReplayOptions::lanes`].
-    pub lanes: usize,
-    /// Lane width for lane-packed timing-aware batch replays; see
-    /// [`ReplayOptions::timing_lanes`].
-    pub timing_lanes: usize,
-    /// Use the pre-simulation collapsing layer; see
-    /// [`ReplayOptions::collapse`].
-    pub collapse: bool,
-    /// Adaptive-sampling CI target; see [`ReplayOptions::ci_target`].
-    pub ci_target: Option<f64>,
-    /// Buckets per stratification axis; see [`ReplayOptions::strata`].
-    pub strata: usize,
-    /// Adaptive visit-order seed; see [`ReplayOptions::sample_seed`].
-    pub sample_seed: u64,
+    /// Replay-engine knobs (DUE slack, threads, lanes, adaptive sampling).
+    pub replay: ReplayOptions,
 }
 
 impl Default for CampaignConfig {
@@ -257,38 +188,12 @@ impl Default for CampaignConfig {
         CampaignConfig {
             delay_fractions: (1..=9).map(|k| k as f64 / 10.0).collect(),
             compute_orace: false,
-            due_slack: 2_000,
-            threads: 0,
-            incremental: true,
-            delta_timing: true,
-            lanes: MAX_LANES,
-            timing_lanes: MAX_TIMING_LANES,
-            collapse: true,
-            ci_target: None,
-            strata: crate::sampling::DEFAULT_STRATA,
-            sample_seed: 7,
+            replay: ReplayOptions::default(),
         }
     }
 }
 
 impl CampaignConfig {
-    /// The engine knobs of this configuration (everything but the sweep
-    /// parameters) as [`ReplayOptions`].
-    fn replay_options(&self) -> ReplayOptions {
-        ReplayOptions {
-            due_slack: self.due_slack,
-            threads: self.threads,
-            incremental: self.incremental,
-            delta_timing: self.delta_timing,
-            lanes: self.lanes,
-            timing_lanes: self.timing_lanes,
-            collapse: self.collapse,
-            ci_target: self.ci_target,
-            strata: self.strata,
-            sample_seed: self.sample_seed,
-        }
-    }
-
     /// A configuration sweeping a single delay fraction.
     pub fn single_delay(fraction: f64) -> Self {
         CampaignConfig {
@@ -296,64 +201,51 @@ impl CampaignConfig {
             ..CampaignConfig::default()
         }
     }
+}
 
+/// Declares each [`ReplayOptions`] builder once, for both
+/// [`ReplayOptions`] and the [`CampaignConfig`] that embeds it.
+macro_rules! knob_builders {
+    ($($(#[$doc:meta])* $name:ident => $field:ident: $ty:ty;)*) => {
+        impl ReplayOptions {
+            $($(#[$doc])* pub fn $name(mut self, value: $ty) -> Self {
+                self.$field = value;
+                self
+            })*
+        }
+
+        impl CampaignConfig {
+            $($(#[$doc])* pub fn $name(mut self, value: $ty) -> Self {
+                self.replay.$field = value;
+                self
+            })*
+        }
+    };
+}
+
+knob_builders! {
     /// Builder-style override of the worker-thread count (`0` = one per
     /// available core).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
+    with_threads => threads: usize;
     /// Builder-style toggle of the incremental replay engine.
-    pub fn with_incremental(mut self, enabled: bool) -> Self {
-        self.incremental = enabled;
-        self
-    }
-
+    with_incremental => incremental: bool;
     /// Builder-style toggle of the incremental timing-aware engine.
-    pub fn with_delta_timing(mut self, enabled: bool) -> Self {
-        self.delta_timing = enabled;
-        self
-    }
-
+    with_delta_timing => delta_timing: bool;
     /// Builder-style override of the batch lane width (`1` = scalar
     /// baseline, `0` = maximum width).
-    pub fn with_lanes(mut self, lanes: usize) -> Self {
-        self.lanes = lanes;
-        self
-    }
-
+    with_lanes => lanes: usize;
     /// Builder-style override of the timing batch lane width (`1` =
     /// scalar baseline, `0` = maximum width).
-    pub fn with_timing_lanes(mut self, timing_lanes: usize) -> Self {
-        self.timing_lanes = timing_lanes;
-        self
-    }
-
+    with_timing_lanes => timing_lanes: usize;
     /// Builder-style toggle of the pre-simulation collapsing layer.
-    pub fn with_collapse(mut self, enabled: bool) -> Self {
-        self.collapse = enabled;
-        self
-    }
-
+    with_collapse => collapse: bool;
     /// Builder-style override of the adaptive-sampling CI target
     /// (`None` = uniform legacy path).
-    pub fn with_ci_target(mut self, ci_target: Option<f64>) -> Self {
-        self.ci_target = ci_target;
-        self
-    }
-
+    with_ci_target => ci_target: Option<f64>;
     /// Builder-style override of the per-axis stratification bucket count.
-    pub fn with_strata(mut self, strata: usize) -> Self {
-        self.strata = strata;
-        self
-    }
-
+    with_strata => strata: usize;
     /// Builder-style override of the adaptive visit-order seed.
-    pub fn with_sample_seed(mut self, sample_seed: u64) -> Self {
-        self.sample_seed = sample_seed;
-        self
-    }
+    with_sample_seed => sample_seed: u64;
 }
 
 /// The sampled cycles on which injection is well-defined: cycle 0 has no
@@ -490,17 +382,14 @@ impl<'t, S: TelemetrySink> RunContext<'t, S> {
 /// every unit cycle, the injected item list and the sweep parameters. Two
 /// campaigns with equal fingerprints produce identical reports, so resumed
 /// units can be trusted; anything else is a `checkpoint mismatch`.
-#[allow(clippy::too_many_arguments)]
 fn campaign_fingerprint<E: Environment + Clone>(
     kind: &str,
     circuit: &Circuit,
     timing: &TimingModel,
     golden: &GoldenRun<E>,
     cycles: &[u64],
-    items: &[usize],
-    fractions: &[f64],
+    c: &Campaign<'_>,
     due_slack: u64,
-    orace: bool,
 ) -> u64 {
     let mut f = Fingerprint::new();
     f.write_bytes(kind.as_bytes());
@@ -517,22 +406,22 @@ fn campaign_fingerprint<E: Environment + Clone>(
             f.write_u64(word);
         }
     }
-    f.write_usize(items.len());
-    for &i in items {
+    f.write_usize(c.items.len());
+    for &i in &c.items {
         f.write_usize(i);
     }
-    f.write_usize(fractions.len());
-    for &fr in fractions {
+    f.write_usize(c.fractions.len());
+    for &fr in c.fractions {
         f.write_f64(fr);
     }
     f.write_u64(due_slack);
-    f.write_bool(orace);
+    f.write_bool(c.orace);
     f.finish()
 }
 
 /// Digest of the engine knobs that shape the *counters* without changing
-/// results: `lanes`, `timing_lanes`, `incremental` and `delta_timing` all
-/// leave reports byte-identical but move work between counters, so a
+/// results: `lanes`, `timing_lanes`, `incremental`, `delta_timing` and
+/// `collapse` all leave reports byte-identical but move work between counters, so a
 /// checkpoint written under one knob set cannot be merged under another
 /// without breaking the stats-identity guarantee. `threads` is
 /// deliberately absent — every counter is thread-count invariant, which is
@@ -587,37 +476,24 @@ struct Worker<'w, E: Environment + Clone, S: TelemetrySink> {
 }
 
 impl<'a, E: Environment + Clone, S: TelemetrySink> Driver<'a, E, S> {
-    /// Opens (or resumes) the checkpoint of a `kind` campaign over
-    /// `items` (edge or flip-flop indices). `fractions` and `orace` are
-    /// the sweep parameters, empty and `false` for the strike campaigns.
-    #[allow(clippy::too_many_arguments)]
+    /// Opens (or resumes) the checkpoint of campaign `c`, under its
+    /// adaptive kind when `opts.ci_target` is set.
     fn open(
-        kind: &'static str,
         circuit: &'a Circuit,
         topo: &'a Topology,
         timing: &'a TimingModel,
         golden: &'a GoldenRun<E>,
         opts: ReplayOptions,
         ctx: &RunContext<'a, S>,
-        items: &[usize],
-        fractions: &[f64],
-        orace: bool,
+        c: &Campaign<'_>,
     ) -> Result<Self, String> {
+        let kind = c.kinds[usize::from(opts.ci_target.is_some())];
         let cycles = valid_cycles(golden);
         let (store, resumed) = match &ctx.checkpoint {
             None => (None, BTreeMap::new()),
             Some(spec) => {
-                let fingerprint = campaign_fingerprint(
-                    kind,
-                    circuit,
-                    timing,
-                    golden,
-                    &cycles,
-                    items,
-                    fractions,
-                    opts.due_slack,
-                    orace,
-                );
+                let fingerprint =
+                    campaign_fingerprint(kind, circuit, timing, golden, &cycles, c, opts.due_slack);
                 let store = CheckpointStore::open(spec, kind, fingerprint, knob_hash(&opts))?;
                 let resumed = store.resumed_units().clone();
                 (Some(Mutex::new(store)), resumed)
@@ -904,69 +780,26 @@ fn decode_class(tok: char) -> Result<FailureClass, String> {
     }
 }
 
+/// Decodes a whole-token failure class: exactly one class character, so
+/// `SX` or an empty token is an error rather than a silent `S`.
+fn decode_class_token(tok: &str) -> Result<FailureClass, String> {
+    let mut chars = tok.chars();
+    match (chars.next(), chars.next()) {
+        (Some(c), None) => decode_class(c),
+        _ => Err(format!("checkpoint parse error: bad failure class `{tok}`")),
+    }
+}
+
 fn encode_stats(out: &mut String, s: &InjectorStats) {
-    let _ = write!(
-        out,
-        " stats {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
-        s.static_filtered,
-        s.toggle_filtered,
-        s.event_sims,
-        s.replays,
-        s.replay_cache_hits,
-        s.replay_cycles,
-        s.gates_evaluated,
-        s.incremental_replays,
-        s.full_replay_fallbacks,
-        s.batched_replays,
-        s.lanes_occupied,
-        s.lane_slots,
-        s.golden_waveform_builds,
-        s.delta_events,
-        s.delta_early_exits,
-        s.full_event_fallbacks,
-        s.batched_timing_replays,
-        s.timing_lanes_occupied,
-        s.timing_lane_slots,
-        s.collapsed_edges,
-        s.class_representatives,
-        s.formally_discharged_ace,
-        s.formally_discharged_unace,
-        s.strata_active,
-        s.strata_retired_early,
-        s.adaptive_replays_saved
-    );
+    out.push_str(" stats");
+    for value in s.values() {
+        let _ = write!(out, " {value}");
+    }
 }
 
 fn decode_stats(t: &mut Tokens<'_>) -> Result<InjectorStats, String> {
     t.expect("stats")?;
-    Ok(InjectorStats {
-        static_filtered: t.next_u64("static_filtered")?,
-        toggle_filtered: t.next_u64("toggle_filtered")?,
-        event_sims: t.next_u64("event_sims")?,
-        replays: t.next_u64("replays")?,
-        replay_cache_hits: t.next_u64("replay_cache_hits")?,
-        replay_cycles: t.next_u64("replay_cycles")?,
-        gates_evaluated: t.next_u64("gates_evaluated")?,
-        incremental_replays: t.next_u64("incremental_replays")?,
-        full_replay_fallbacks: t.next_u64("full_replay_fallbacks")?,
-        batched_replays: t.next_u64("batched_replays")?,
-        lanes_occupied: t.next_u64("lanes_occupied")?,
-        lane_slots: t.next_u64("lane_slots")?,
-        golden_waveform_builds: t.next_u64("golden_waveform_builds")?,
-        delta_events: t.next_u64("delta_events")?,
-        delta_early_exits: t.next_u64("delta_early_exits")?,
-        full_event_fallbacks: t.next_u64("full_event_fallbacks")?,
-        batched_timing_replays: t.next_u64("batched_timing_replays")?,
-        timing_lanes_occupied: t.next_u64("timing_lanes_occupied")?,
-        timing_lane_slots: t.next_u64("timing_lane_slots")?,
-        collapsed_edges: t.next_u64("collapsed_edges")?,
-        class_representatives: t.next_u64("class_representatives")?,
-        formally_discharged_ace: t.next_u64("formally_discharged_ace")?,
-        formally_discharged_unace: t.next_u64("formally_discharged_unace")?,
-        strata_active: t.next_u64("strata_active")?,
-        strata_retired_early: t.next_u64("strata_retired_early")?,
-        adaptive_replays_saved: t.next_u64("adaptive_replays_saved")?,
-    })
+    InjectorStats::try_from_fn(|name| t.next_u64(name))
 }
 
 fn encode_failures(out: &mut String, entries: &[(Vec<DffId>, FailureClass)]) {
@@ -984,14 +817,7 @@ fn decode_failures(t: &mut Tokens<'_>) -> Result<Vec<(Vec<DffId>, FailureClass)>
     let k = t.next_usize("failure-cache entry count")?;
     let mut entries = Vec::with_capacity(k);
     for _ in 0..k {
-        let class_tok = t.next_str("failure class")?;
-        let mut chars = class_tok.chars();
-        let class = decode_class(chars.next().unwrap_or(' '))?;
-        if chars.next().is_some() {
-            return Err(format!(
-                "checkpoint parse error: bad failure class `{class_tok}`"
-            ));
-        }
+        let class = decode_class_token(t.next_str("failure class")?)?;
         let len = t.next_usize("flip-set length")?;
         let mut set = Vec::with_capacity(len);
         for _ in 0..len {
@@ -1180,8 +1006,7 @@ fn decode_records_unit(payload: &str, cycle: u64) -> Result<RecordsUnit, String>
     for _ in 0..m {
         let edge = EdgeId::from_index(t.next_usize("record edge")?);
         let statically_reachable = t.next_usize("statically reachable count")?;
-        let class_tok = t.next_str("record class")?;
-        let class = decode_class(class_tok.chars().next().unwrap_or(' '))?;
+        let class = decode_class_token(t.next_str("record class")?)?;
         let len = t.next_usize("dynamic-set length")?;
         let mut dynamic_set = Vec::with_capacity(len);
         for _ in 0..len {
@@ -1373,8 +1198,8 @@ fn delay_sweep_unit<E: Environment + Clone>(
 }
 
 // ---------------------------------------------------------------------------
-// Work units. Each campaign's unit body is shared by its uniform and its
-// adaptive driver: it restores the unit from the checkpoint when resumed,
+// Work units. Each campaign's unit body serves its uniform and its adaptive
+// run alike: it restores the unit from the checkpoint when resumed,
 // otherwise computes it, serializes it when checkpointing, and reports it
 // to the worker's observer. Every body first drops the worker's golden
 // settles behind its cycle: a worker claims units in ascending cycle order,
@@ -1386,8 +1211,7 @@ fn delay_sweep_unit<E: Environment + Clone>(
 type SweepUnit = (Vec<DelayAvfResult>, Vec<bool>, InjectorStats);
 
 /// The sweep unit keyed `key`: every fraction over `edges` at `cycle`.
-/// Adaptive units (`with_vis`) persist their visibility flags too.
-#[allow(clippy::too_many_arguments)]
+/// Adaptive units persist their visibility flags too.
 fn sweep_unit<E: Environment + Clone, S: TelemetrySink>(
     d: &Driver<'_, E, S>,
     w: &mut Worker<'_, E, S>,
@@ -1395,9 +1219,9 @@ fn sweep_unit<E: Environment + Clone, S: TelemetrySink>(
     key: u64,
     cycle: u64,
     edges: &[EdgeId],
-    with_vis: bool,
 ) -> Result<SweepUnit, String> {
     w.injector.release_golden_before(cycle);
+    let with_vis = d.opts.ci_target.is_some();
     if let Some(payload) = d.resumed(key) {
         let (rows, vis, stats, failures) =
             decode_sweep_unit(payload, config, with_vis.then_some(edges.len()))?;
@@ -1433,13 +1257,14 @@ fn savf_unit<E: Environment + Clone, S: TelemetrySink>(
     d: &Driver<'_, E, S>,
     w: &mut Worker<'_, E, S>,
     dffs: &[DffId],
+    key: u64,
     cycle: u64,
 ) -> Result<(SavfResult, InjectorStats), String> {
     w.injector.release_golden_before(cycle);
-    if let Some(payload) = d.resumed(cycle) {
+    if let Some(payload) = d.resumed(key) {
         let (unit, stats, failures) = decode_savf_unit(payload)?;
         w.injector.preload_failures(cycle, failures);
-        w.obs.unit_done(cycle, None, Some(&stats))?;
+        w.obs.unit_done(key, None, Some(&stats))?;
         return Ok((unit, stats));
     }
     let before = w.injector.stats;
@@ -1458,7 +1283,7 @@ fn savf_unit<E: Environment + Clone, S: TelemetrySink>(
     let payload = d
         .checkpointing()
         .then(|| encode_savf_unit(&unit, &delta, &w.injector.snapshot_failures(cycle)));
-    w.obs.unit_done(cycle, payload, Some(&delta))?;
+    w.obs.unit_done(key, payload, Some(&delta))?;
     Ok((unit, delta))
 }
 
@@ -1470,13 +1295,14 @@ fn records_unit<E: Environment + Clone, S: TelemetrySink>(
     w: &mut Worker<'_, E, S>,
     edges: &[EdgeId],
     extra: Picos,
+    key: u64,
     cycle: u64,
 ) -> Result<Vec<InjectionRecord>, String> {
     w.injector.release_golden_before(cycle);
-    if let Some(payload) = d.resumed(cycle) {
+    if let Some(payload) = d.resumed(key) {
         let (records, failures) = decode_records_unit(payload, cycle)?;
         w.injector.preload_failures(cycle + 1, failures);
-        w.obs.unit_done(cycle, None, None)?;
+        w.obs.unit_done(key, None, None)?;
         return Ok(records);
     }
     // Same two-phase structure as the sweep: collect the cycle's dynamic
@@ -1507,7 +1333,7 @@ fn records_unit<E: Environment + Clone, S: TelemetrySink>(
     let payload = d
         .checkpointing()
         .then(|| encode_records_unit(&records, &w.injector.snapshot_failures(cycle + 1)));
-    w.obs.unit_done(cycle, payload, None)?;
+    w.obs.unit_done(key, payload, None)?;
     Ok(records)
 }
 
@@ -1517,12 +1343,13 @@ fn per_bit_unit<E: Environment + Clone, S: TelemetrySink>(
     d: &Driver<'_, E, S>,
     w: &mut Worker<'_, E, S>,
     dffs: &[DffId],
+    key: u64,
     cycle: u64,
 ) -> Result<Vec<bool>, String> {
     w.injector.release_golden_before(cycle);
-    if let Some(payload) = d.resumed(cycle) {
+    if let Some(payload) = d.resumed(key) {
         let classes = decode_per_bit_unit(payload, dffs.len())?;
-        w.obs.unit_done(cycle, None, None)?;
+        w.obs.unit_done(key, None, None)?;
         return Ok(classes.iter().map(|c| c.is_visible()).collect());
     }
     let injector = &mut w.injector;
@@ -1535,7 +1362,7 @@ fn per_bit_unit<E: Environment + Clone, S: TelemetrySink>(
     let payload = d
         .checkpointing()
         .then(|| encode_per_bit_unit(&w.injector, dffs, cycle));
-    w.obs.unit_done(cycle, payload, None)?;
+    w.obs.unit_done(key, payload, None)?;
     Ok(flags)
 }
 
@@ -1546,10 +1373,11 @@ fn spatial_unit<E: Environment + Clone, S: TelemetrySink>(
     d: &Driver<'_, E, S>,
     w: &mut Worker<'_, E, S>,
     dffs: &[DffId],
+    key: u64,
     cycle: u64,
 ) -> Result<SavfResult, String> {
     w.injector.release_golden_before(cycle);
-    let resumed = d.resumed(cycle);
+    let resumed = d.resumed(key);
     if let Some(payload) = resumed {
         let mut t = Tokens::new(payload);
         let failures = decode_failures(&mut t)?;
@@ -1574,7 +1402,7 @@ fn spatial_unit<E: Environment + Clone, S: TelemetrySink>(
         encode_failures(&mut out, &w.injector.snapshot_failures(cycle));
         out.trim_start().to_owned()
     });
-    w.obs.unit_done(cycle, payload, None)?;
+    w.obs.unit_done(key, payload, None)?;
     Ok(unit)
 }
 
@@ -1582,12 +1410,233 @@ fn edge_items(edges: &[EdgeId]) -> Vec<usize> {
     edges.iter().map(|e| e.index()).collect()
 }
 
-fn dff_items(dffs: &[DffId]) -> Vec<usize> {
-    dffs.iter().map(|d| d.index()).collect()
+// ---------------------------------------------------------------------------
+// The campaign driver. Uniform runs (`ci_target` unset, the default) are
+// one round over every valid cycle. Adaptive runs stratify the injection
+// sites by cheap static signals — edge static slack and per-cycle toggle
+// activity — allocate each round's replay budget Neyman-style from the
+// running per-stratum tallies, and retire a stratum as soon as every
+// estimand's composed Wilson interval is inside the target half-width.
+// Both feed every unit through the same campaign fold.
+// ---------------------------------------------------------------------------
+
+/// What tells one campaign kind apart to [`run_campaign`], besides its
+/// unit body and its fold.
+struct Campaign<'c> {
+    /// Checkpoint and telemetry kinds of the uniform and the adaptive run.
+    kinds: [&'static str; 2],
+    /// Injected items (edge or flip-flop indices), fingerprinted.
+    items: Vec<usize>,
+    /// Sweep parameters, fingerprinted (empty and `false` for strikes).
+    fractions: &'c [f64],
+    orace: bool,
+    /// `Some(edges)` when each (cycle, edge) pair is an adaptive site (the
+    /// sweep), `None` when each cycle is one.
+    site_edges: Option<&'c [EdgeId]>,
+    /// Estimands tallied per adaptive site.
+    estimands: usize,
+}
+
+/// Records one site's per-estimand hits and trials into the adaptive plan;
+/// the site is given by its position in the unit's `positions`.
+type Record<'r> = dyn FnMut(usize, &[u64], &[u64]) + 'r;
+
+/// Runs campaign `c` and returns `out` with every unit folded in.
+///
+/// Each unit runs `unit(driver, worker, key, cycle, positions)` on a
+/// worker — `positions` are the unit's selected edges for the sweep and
+/// `[0]` for cycle-site campaigns — and is then folded into `out` in unit
+/// order by `fold(out, unit, record)`. Uniform runs are one round over
+/// every valid cycle with every position, and `record` is a no-op; adaptive
+/// runs repeat rounds until the plan retires, `record` feeds the plan, and
+/// `finish(out, plan)` fills in the adaptive columns and counters at the
+/// end. Unit keys are `cycle`, or [`round_key`] for the sweep, whose
+/// adaptive rounds can revisit a cycle with other edges.
+#[allow(clippy::too_many_arguments)]
+fn run_campaign<E, S, U, O>(
+    circuit: &Circuit,
+    topo: &Topology,
+    timing: &TimingModel,
+    golden: &GoldenRun<E>,
+    opts: ReplayOptions,
+    ctx: &RunContext<'_, S>,
+    c: Campaign<'_>,
+    mut out: O,
+    unit: impl Fn(&Driver<'_, E, S>, &mut Worker<'_, E, S>, u64, u64, &[usize]) -> Result<U, String>
+        + Sync,
+    mut fold: impl FnMut(&mut O, U, &mut Record<'_>),
+    finish: impl FnOnce(&mut O, &AdaptivePlan),
+) -> Result<O, String>
+where
+    E: Environment + Clone,
+    S: TelemetrySink,
+    U: Send,
+{
+    let adaptive = match opts.ci_target {
+        None => None,
+        Some(target) => Some((validate_ci_target(target)?, validate_strata(opts.strata)?)),
+    };
+    let d = Driver::open(circuit, topo, timing, golden, opts, ctx, &c)?;
+    // Sites per cycle (an edge-less sweep has none, and its plan no sites).
+    let per_cycle = c.site_edges.map_or(1, <[EdgeId]>::len);
+    let mut plan = adaptive.map(|(target, buckets)| {
+        AdaptivePlan::new(
+            site_strata(&d, c.site_edges, buckets),
+            buckets * buckets,
+            c.estimands,
+            target,
+            opts.sample_seed,
+        )
+    });
+    let units = plan
+        .as_ref()
+        .map_or(d.cycles.len(), AdaptivePlan::population);
+    d.observe(units, || {
+        let mut round: u64 = 0;
+        loop {
+            // Each unit is one cycle and the positions selected there: the
+            // unit body batches one latch boundary, and grouping keeps
+            // per-unit work independent of how sites landed across strata.
+            let groups: Vec<(usize, Vec<usize>)> = match plan.as_mut() {
+                None if round > 0 => break,
+                None => {
+                    let all: Vec<usize> = (0..per_cycle).collect();
+                    (0..d.cycles.len()).map(|pos| (pos, all.clone())).collect()
+                }
+                Some(plan) => {
+                    let sites = plan.next_round();
+                    if sites.is_empty() {
+                        break;
+                    }
+                    let mut by_cycle: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+                    for site in sites {
+                        by_cycle
+                            .entry(site / per_cycle)
+                            .or_default()
+                            .push(site % per_cycle);
+                    }
+                    by_cycle.into_iter().collect()
+                }
+            };
+            let results = d.run(&groups, |w, (pos, positions)| {
+                let cycle = d.cycles[*pos];
+                let key = match c.site_edges {
+                    Some(_) => round_key(round, cycle),
+                    None => cycle,
+                };
+                unit(&d, w, key, cycle, positions)
+            })?;
+            for ((pos, positions), u) in groups.iter().zip(results) {
+                fold(&mut out, u, &mut |j, hits, trials| {
+                    if let Some(plan) = plan.as_mut() {
+                        plan.record(pos * per_cycle + positions[j], hits, trials);
+                    }
+                });
+            }
+            if let Some(plan) = plan.as_mut() {
+                plan.finish_round();
+            }
+            round += 1;
+        }
+        if let Some(plan) = &plan {
+            finish(&mut out, plan);
+        }
+        Ok(out)
+    })
+}
+
+/// Packs a unit key: adaptive sweep rounds may revisit a cycle with a
+/// different edge subset, so the key embeds the round number (round 0, the
+/// whole uniform run, keys by the bare cycle).
+fn round_key(round: u64, cycle: u64) -> u64 {
+    debug_assert!(cycle < (1 << 44), "trace cycle overflows the round key");
+    (round << 44) | cycle
+}
+
+/// Number of flip-flop bits that toggled entering `cycle`: the XOR
+/// popcount between the packed golden states at `cycle - 1` and `cycle`.
+/// High-activity cycles propagate more transitions and are where delay
+/// faults tend to land, so toggle count is one stratification axis.
+fn toggle_activity<E: Environment + Clone>(golden: &GoldenRun<E>, cycle: u64) -> u64 {
+    let prev = golden.trace.state_at(cycle - 1);
+    let cur = golden.trace.state_at(cycle);
+    prev.iter()
+        .zip(cur)
+        .map(|(&a, &b)| u64::from((a ^ b).count_ones()))
+        .sum()
+}
+
+/// Static slack of `edge`: clock period minus the longest complete path
+/// through it (setup included). Tight edges are the likeliest DelayACE
+/// candidates, so slack is the second stratification axis for the sweep.
+fn edge_static_slack(
+    timing: &TimingModel,
+    circuit: &Circuit,
+    topo: &Topology,
+    edge: EdgeId,
+) -> u64 {
+    let longest = timing
+        .edge_slack_entries(circuit, topo, edge)
+        .last()
+        .map_or(0, |&(path, _)| path);
+    timing.clock_period().saturating_sub(longest)
+}
+
+/// Stratum labels of the adaptive sites. Cycle sites (the particle-strike
+/// and records campaigns) cross a toggle-activity bucket with a
+/// trace-phase bucket, so bursty program phases cannot hide inside one
+/// homogeneous-looking stratum; sweep sites (cycle-major, edge-minor) cross
+/// the edge's static-slack bucket with the cycle's toggle bucket.
+fn site_strata<E: Environment + Clone, S: TelemetrySink>(
+    d: &Driver<'_, E, S>,
+    site_edges: Option<&[EdgeId]>,
+    buckets: usize,
+) -> Vec<usize> {
+    let n = d.cycles.len();
+    let toggles: Vec<u64> = d
+        .cycles
+        .iter()
+        .map(|&cycle| toggle_activity(d.golden, cycle))
+        .collect();
+    let tb = bucket_axis(&toggles, buckets);
+    let Some(edges) = site_edges else {
+        return (0..n)
+            .map(|i| tb[i] * buckets + (i * buckets) / n.max(1))
+            .collect();
+    };
+    let slacks: Vec<u64> = edges
+        .iter()
+        .map(|&edge| edge_static_slack(d.timing, d.circuit, d.topo, edge))
+        .collect();
+    let sb = bucket_axis(&slacks, buckets);
+    let ne = edges.len().max(1);
+    (0..n * edges.len())
+        .map(|site| sb[site % ne] * buckets + tb[site / ne])
+        .collect()
+}
+
+/// Sets the adaptive plan's three counters; `per_site` injections were
+/// skipped for every site the plan never sampled.
+fn set_strata_counters(stats: &mut InjectorStats, plan: &AdaptivePlan, per_site: usize) {
+    stats.strata_active = plan.strata_active() as u64;
+    stats.strata_retired_early = plan.strata_retired_early() as u64;
+    stats.adaptive_replays_saved = ((plan.population() - plan.sampled_sites()) * per_site) as u64;
+}
+
+/// The adaptive plan's interval for estimand `e`, as a report column.
+fn adaptive_estimate(plan: &AdaptivePlan, e: usize) -> AdaptiveEstimate {
+    let est = plan.estimate(e);
+    AdaptiveEstimate {
+        point: est.point,
+        lo: est.lo,
+        hi: est.hi,
+        population: plan.population(),
+        sampled: plan.sampled_sites(),
+    }
 }
 
 // ---------------------------------------------------------------------------
-// Uniform campaigns: every valid cycle is one unit.
+// Campaign entry points.
 // ---------------------------------------------------------------------------
 
 /// Runs a DelayAVF sweep: every sampled cycle × every given edge × every
@@ -1641,11 +1690,17 @@ pub fn delay_avf_campaign_with_stats<E: Environment + Clone>(
 /// would silently break the *stats* identity; `threads` may change
 /// freely).
 ///
+/// With `config.replay.ci_target` set, sites are (cycle, edge) pairs
+/// stratified by edge static slack × cycle toggle activity, and each
+/// round's selected sites are grouped per cycle so the batched unit body
+/// (and its caches) still see one latch boundary at a time.
+///
 /// # Errors
 ///
 /// Fails on checkpoint I/O errors and on resuming against a mismatched or
 /// corrupt checkpoint file (`checkpoint mismatch` / `checkpoint parse
-/// error`). Never fails when `ctx.checkpoint` is `None`.
+/// error`). Never fails when `ctx.checkpoint` is `None` and the adaptive
+/// knobs are valid.
 pub fn delay_avf_campaign_observed<E: Environment + Clone, S: TelemetrySink>(
     circuit: &Circuit,
     topo: &Topology,
@@ -1655,33 +1710,46 @@ pub fn delay_avf_campaign_observed<E: Environment + Clone, S: TelemetrySink>(
     config: &CampaignConfig,
     ctx: &RunContext<'_, S>,
 ) -> Result<(Vec<DelayAvfResult>, InjectorStats), String> {
-    if config.ci_target.is_some() {
-        return delay_avf_campaign_adaptive(circuit, topo, timing, golden, edges, config, ctx);
-    }
-    let d = Driver::open(
-        "delay_sweep",
+    let nf = config.delay_fractions.len();
+    let campaign = Campaign {
+        kinds: ["delay_sweep", "delay_sweep_adaptive"],
+        items: edge_items(edges),
+        fractions: &config.delay_fractions,
+        orace: config.compute_orace,
+        site_edges: Some(edges),
+        estimands: nf,
+    };
+    let trials = vec![1u64; nf];
+    run_campaign(
         circuit,
         topo,
         timing,
         golden,
-        config.replay_options(),
+        config.replay,
         ctx,
-        &edge_items(edges),
-        &config.delay_fractions,
-        config.compute_orace,
-    )?;
-    d.observe(d.cycles.len(), || {
-        let units = d.run(&d.cycles, |w, &cycle| {
-            sweep_unit(&d, w, config, cycle, cycle, edges, false)
-        })?;
-        let mut rows = empty_rows(config);
-        let mut stats = InjectorStats::default();
-        for (unit_rows, _, unit_stats) in &units {
-            merge_rows(&mut rows, unit_rows);
-            stats.merge(unit_stats);
-        }
-        Ok((rows, stats))
-    })
+        campaign,
+        (empty_rows(config), InjectorStats::default()),
+        |d, w, key, cycle, positions| {
+            let selected: Vec<EdgeId> = positions.iter().map(|&ei| edges[ei]).collect();
+            sweep_unit(d, w, config, key, cycle, &selected)
+        },
+        |(rows, stats), (unit_rows, vis, delta), record| {
+            merge_rows(rows, &unit_rows);
+            stats.merge(&delta);
+            // `vis` is fraction-major over the unit's edges.
+            let width = vis.len() / nf.max(1);
+            for j in 0..width {
+                let hits: Vec<u64> = (0..nf).map(|fi| u64::from(vis[fi * width + j])).collect();
+                record(j, &hits, &trials);
+            }
+        },
+        |(rows, stats), plan| {
+            set_strata_counters(stats, plan, nf);
+            for (fi, row) in rows.iter_mut().enumerate() {
+                row.adaptive = Some(adaptive_estimate(plan, fi));
+            }
+        },
+    )
 }
 
 /// Runs a particle-strike campaign: a single bit flip in each of `dffs` at
@@ -1722,7 +1790,10 @@ pub fn savf_campaign_with_stats<E: Environment + Clone>(
 /// [`savf_campaign_with_stats`] under a [`RunContext`]; see
 /// [`delay_avf_campaign_observed`] for the checkpoint/resume and telemetry
 /// semantics (work units are trace cycles here too, classified at
-/// boundary `cycle` per the strike-model convention).
+/// boundary `cycle` per the strike-model convention). Adaptive sites are
+/// trace cycles stratified by toggle activity × trace phase; each sampled
+/// cycle runs the full per-bit strike unit, so the estimand is the same ACE
+/// fraction the uniform campaign reports.
 ///
 /// # Errors
 ///
@@ -1736,31 +1807,40 @@ pub fn savf_campaign_observed<E: Environment + Clone, S: TelemetrySink>(
     opts: ReplayOptions,
     ctx: &RunContext<'_, S>,
 ) -> Result<(SavfResult, InjectorStats), String> {
-    if opts.ci_target.is_some() {
-        return savf_campaign_adaptive(circuit, topo, timing, golden, dffs, opts, ctx);
-    }
-    let d = Driver::open(
-        "savf",
+    run_campaign(
         circuit,
         topo,
         timing,
         golden,
         opts,
         ctx,
-        &dff_items(dffs),
-        &[],
-        false,
-    )?;
-    d.observe(d.cycles.len(), || {
-        let units = d.run(&d.cycles, |w, &cycle| savf_unit(&d, w, dffs, cycle))?;
-        let mut result = SavfResult::default();
-        let mut stats = InjectorStats::default();
-        for (unit, unit_stats) in &units {
-            result.merge(unit);
-            stats.merge(unit_stats);
-        }
-        Ok((result, stats))
-    })
+        strike_campaign(["savf", "savf_adaptive"], dffs, 1),
+        (SavfResult::default(), InjectorStats::default()),
+        |d, w, key, cycle, _| savf_unit(d, w, dffs, key, cycle),
+        |(result, stats), (unit, delta), record| {
+            result.merge(&unit);
+            stats.merge(&delta);
+            record(0, &[unit.ace_hits as u64], &[unit.injections as u64]);
+        },
+        |(_, stats), plan| set_strata_counters(stats, plan, dffs.len()),
+    )
+}
+
+/// The [`Campaign`] of a strike campaign over `dffs`: cycle sites,
+/// `estimands` tallies per site.
+fn strike_campaign(
+    kinds: [&'static str; 2],
+    dffs: &[DffId],
+    estimands: usize,
+) -> Campaign<'static> {
+    Campaign {
+        kinds,
+        items: dffs.iter().map(|d| d.index()).collect(),
+        fractions: &[],
+        orace: false,
+        site_edges: None,
+        estimands,
+    }
 }
 
 /// Like [`delay_avf_campaign`] for a **single** delay fraction, but also
@@ -1793,7 +1873,10 @@ pub fn delay_avf_campaign_records<E: Environment + Clone>(
 /// [`delay_avf_campaign_records`] under a [`RunContext`]; see
 /// [`delay_avf_campaign_observed`] for the checkpoint/resume and telemetry
 /// semantics. Resumed cycle units replay their serialized records (and the
-/// tallies re-derived from them) instead of re-simulating.
+/// tallies re-derived from them) instead of re-simulating. Adaptive runs
+/// sample whole cycles; the returned row then carries the stratified
+/// estimate, and the records cover the sampled cycles only, in (round,
+/// cycle, edge) order.
 ///
 /// # Errors
 ///
@@ -1809,37 +1892,39 @@ pub fn delay_avf_campaign_records_observed<E: Environment + Clone, S: TelemetryS
     opts: ReplayOptions,
     ctx: &RunContext<'_, S>,
 ) -> Result<(DelayAvfResult, Vec<InjectionRecord>), String> {
-    if opts.ci_target.is_some() {
-        return delay_avf_campaign_records_adaptive(
-            circuit, topo, timing, golden, edges, fraction, opts, ctx,
-        );
-    }
-    let d = Driver::open(
-        "delay_records",
+    let extra = fraction_to_picos(timing, fraction);
+    let campaign = Campaign {
+        kinds: ["delay_records", "delay_records_adaptive"],
+        items: edge_items(edges),
+        fractions: &[fraction],
+        orace: false,
+        site_edges: None,
+        estimands: 1,
+    };
+    let row = DelayAvfResult {
+        delay_fraction: fraction,
+        ..DelayAvfResult::default()
+    };
+    run_campaign(
         circuit,
         topo,
         timing,
         golden,
         opts,
         ctx,
-        &edge_items(edges),
-        &[fraction],
-        false,
-    )?;
-    let extra = fraction_to_picos(timing, fraction);
-    d.observe(d.cycles.len(), || {
-        let units = d.run(&d.cycles, |w, &cycle| {
-            records_unit(&d, w, edges, extra, cycle)
-        })?;
-        let mut row = DelayAvfResult {
-            delay_fraction: fraction,
-            ..DelayAvfResult::default()
-        };
-        for record in units.iter().flatten() {
-            tally(&mut row, &record.outcome);
-        }
-        Ok((row, units.into_iter().flatten().collect()))
-    })
+        campaign,
+        (row, Vec::new()),
+        |d, w, key, cycle, _| records_unit(d, w, edges, extra, key, cycle),
+        |(row, records), unit, record| {
+            for r in &unit {
+                tally(row, &r.outcome);
+            }
+            let hits = unit.iter().filter(|r| r.outcome.visible).count() as u64;
+            record(0, &[hits], &[edges.len() as u64]);
+            records.extend(unit);
+        },
+        |(row, _), plan| row.adaptive = Some(adaptive_estimate(plan, 0)),
+    )
 }
 
 /// Per-bit sAVF: like [`savf_campaign`] but reporting each flip-flop's
@@ -1869,9 +1954,10 @@ pub fn savf_per_bit_campaign<E: Environment + Clone>(
 /// [`savf_per_bit_campaign`] under a [`RunContext`]. Work units are
 /// cycles, like every other campaign's: each unit stores one
 /// classification per bit, and the per-cycle flags are transposed into
-/// per-bit tallies at the end. (The checkpoint kind is
-/// `savf_per_bit_cycles`, so a file from the older bit-keyed layout is a
-/// `checkpoint mismatch`.)
+/// per-bit tallies. (The checkpoint kind is `savf_per_bit_cycles`, so a
+/// file from the older bit-keyed layout is a `checkpoint mismatch`.)
+/// Adaptively, every bit is an estimand, and a stratum retires only when
+/// all bits' intervals are tight, so hotspot bits keep drawing budget.
 ///
 /// # Errors
 ///
@@ -1885,40 +1971,33 @@ pub fn savf_per_bit_campaign_observed<E: Environment + Clone, S: TelemetrySink>(
     opts: ReplayOptions,
     ctx: &RunContext<'_, S>,
 ) -> Result<Vec<(DffId, SavfResult)>, String> {
-    if opts.ci_target.is_some() {
-        return savf_per_bit_campaign_adaptive(circuit, topo, timing, golden, dffs, opts, ctx);
-    }
-    let d = Driver::open(
-        "savf_per_bit_cycles",
+    let kinds = ["savf_per_bit_cycles", "savf_per_bit_adaptive"];
+    let trials = vec![1u64; dffs.len()];
+    run_campaign(
         circuit,
         topo,
         timing,
         golden,
         opts,
         ctx,
-        &dff_items(dffs),
-        &[],
-        false,
-    )?;
-    d.observe(d.cycles.len(), || {
-        let units = d.run(&d.cycles, |w, &cycle| per_bit_unit(&d, w, dffs, cycle))?;
-        let mut out: Vec<(DffId, SavfResult)> =
-            dffs.iter().map(|&d| (d, SavfResult::default())).collect();
-        for flags in &units {
-            tally_bits(&mut out, flags);
-        }
-        Ok(out)
-    })
-}
-
-/// Folds one per-bit unit's strike flags into the per-bit tallies.
-fn tally_bits(out: &mut [(DffId, SavfResult)], flags: &[bool]) {
-    for ((_, r), &ace) in out.iter_mut().zip(flags) {
-        r.injections += 1;
-        if ace {
-            r.ace_hits += 1;
-        }
-    }
+        strike_campaign(kinds, dffs, dffs.len().max(1)),
+        dffs.iter().map(|&d| (d, SavfResult::default())).collect(),
+        |d, w, key, cycle, _| per_bit_unit(d, w, dffs, key, cycle),
+        |out: &mut Vec<(DffId, SavfResult)>, flags, record| {
+            let mut hits = Vec::with_capacity(flags.len());
+            for ((_, r), ace) in out.iter_mut().zip(flags) {
+                r.injections += 1;
+                r.ace_hits += usize::from(ace);
+                hits.push(u64::from(ace));
+            }
+            if hits.is_empty() {
+                record(0, &[0], &[0]);
+            } else {
+                record(0, &hits, &trials);
+            }
+        },
+        |_, _| {},
+    )
 }
 
 /// Runs a **spatial double-bit** particle-strike campaign: simultaneous
@@ -1958,6 +2037,7 @@ pub fn spatial_double_strike_campaign<E: Environment + Clone>(
 /// [`spatial_double_strike_campaign`] under a [`RunContext`]. Work units
 /// are cycles; a resumed unit preloads its boundary's pair
 /// classifications and replays the tally loop from the warmed cache.
+/// Adaptive sites are cycles with one estimand, the pairwise ACE fraction.
 ///
 /// # Errors
 ///
@@ -1971,444 +2051,26 @@ pub fn spatial_double_strike_campaign_observed<E: Environment + Clone, S: Teleme
     opts: ReplayOptions,
     ctx: &RunContext<'_, S>,
 ) -> Result<SavfResult, String> {
-    if opts.ci_target.is_some() {
-        return spatial_double_strike_campaign_adaptive(
-            circuit, topo, timing, golden, dffs, opts, ctx,
-        );
-    }
-    let d = Driver::open(
-        "spatial_double",
+    run_campaign(
         circuit,
         topo,
         timing,
         golden,
         opts,
         ctx,
-        &dff_items(dffs),
-        &[],
-        false,
-    )?;
-    d.observe(d.cycles.len(), || {
-        let units = d.run(&d.cycles, |w, &cycle| spatial_unit(&d, w, dffs, cycle))?;
-        let mut result = SavfResult::default();
-        for unit in &units {
-            result.merge(unit);
-        }
-        Ok(result)
-    })
+        strike_campaign(["spatial_double", "spatial_double_adaptive"], dffs, 1),
+        SavfResult::default(),
+        |d, w, key, cycle, _| spatial_unit(d, w, dffs, key, cycle),
+        |result, unit, record| {
+            result.merge(&unit);
+            record(0, &[unit.ace_hits as u64], &[unit.injections as u64]);
+        },
+        |_, _| {},
+    )
 }
 
 fn fraction_to_picos(timing: &TimingModel, fraction: f64) -> Picos {
     (timing.clock_period() as f64 * fraction).round() as Picos
-}
-
-// ---------------------------------------------------------------------------
-// Adaptive stratified sampling (`ci_target` set). Injection sites are
-// stratified by cheap static signals — edge static slack and per-cycle
-// toggle activity — the replay budget is allocated Neyman-style from the
-// running per-stratum tallies, and a stratum retires as soon as every
-// estimand's composed Wilson interval is inside the target half-width.
-// The uniform paths above are untouched: `ci_target: None` (the default)
-// never reaches this section, so legacy reports stay byte-identical.
-// ---------------------------------------------------------------------------
-
-/// Validates the adaptive knob pair, normalizing `ci_target` out of its
-/// `Option` (callers only branch here when it is set).
-fn checked_adaptive(ci_target: Option<f64>, strata: usize) -> Result<(f64, usize), String> {
-    let target = validate_ci_target(ci_target.expect("adaptive path requires ci_target"))?;
-    let buckets = validate_strata(strata)?;
-    Ok((target, buckets))
-}
-
-/// Number of flip-flop bits that toggled entering `cycle`: the XOR
-/// popcount between the packed golden states at `cycle - 1` and `cycle`.
-/// High-activity cycles propagate more transitions and are where delay
-/// faults tend to land, so toggle count is one stratification axis.
-fn toggle_activity<E: Environment + Clone>(golden: &GoldenRun<E>, cycle: u64) -> u64 {
-    let prev = golden.trace.state_at(cycle - 1);
-    let cur = golden.trace.state_at(cycle);
-    prev.iter()
-        .zip(cur)
-        .map(|(&a, &b)| u64::from((a ^ b).count_ones()))
-        .sum()
-}
-
-/// Static slack of `edge`: clock period minus the longest complete path
-/// through it (setup included). Tight edges are the likeliest DelayACE
-/// candidates, so slack is the second stratification axis for the sweep.
-fn edge_static_slack(
-    timing: &TimingModel,
-    circuit: &Circuit,
-    topo: &Topology,
-    edge: EdgeId,
-) -> u64 {
-    let longest = timing
-        .edge_slack_entries(circuit, topo, edge)
-        .last()
-        .map_or(0, |&(path, _)| path);
-    timing.clock_period().saturating_sub(longest)
-}
-
-/// Stratum labels for cycle-only sites (the particle-strike campaigns):
-/// toggle-activity bucket crossed with a trace-phase bucket, so bursty
-/// program phases cannot hide inside one homogeneous-looking stratum.
-fn cycle_strata<E: Environment + Clone>(
-    golden: &GoldenRun<E>,
-    cycles: &[u64],
-    buckets: usize,
-) -> Vec<usize> {
-    let toggles: Vec<u64> = cycles
-        .iter()
-        .map(|&cycle| toggle_activity(golden, cycle))
-        .collect();
-    let tb = bucket_axis(&toggles, buckets);
-    (0..cycles.len())
-        .map(|i| tb[i] * buckets + (i * buckets) / cycles.len().max(1))
-        .collect()
-}
-
-/// Packs a sweep checkpoint key: adaptive rounds may revisit a cycle with
-/// a different edge subset, so the unit key embeds the round number.
-fn round_key(round: u64, cycle: u64) -> u64 {
-    debug_assert!(cycle < (1 << 44), "trace cycle overflows the round key");
-    (round << 44) | cycle
-}
-
-/// The adaptive plan of a cycle-site campaign (every campaign but the
-/// sweep): sites are the valid cycles, stratified by toggle activity ×
-/// trace phase, with `estimands` tallies per site.
-fn cycle_plan<E: Environment + Clone, S: TelemetrySink>(
-    d: &Driver<'_, E, S>,
-    target: f64,
-    buckets: usize,
-    estimands: usize,
-) -> AdaptivePlan {
-    AdaptivePlan::new(
-        cycle_strata(d.golden, &d.cycles, buckets),
-        buckets * buckets,
-        estimands,
-        target,
-        d.opts.sample_seed,
-    )
-}
-
-/// The adaptive plan's interval for estimand `e`, as a report column.
-fn adaptive_estimate(plan: &AdaptivePlan, e: usize) -> AdaptiveEstimate {
-    let est = plan.estimate(e);
-    AdaptiveEstimate {
-        point: est.point,
-        lo: est.lo,
-        hi: est.hi,
-        population: plan.population(),
-        sampled: plan.sampled_sites(),
-    }
-}
-
-/// Adaptive counterpart of [`delay_avf_campaign_observed`]: sites are
-/// (cycle, edge) pairs stratified by edge static slack × cycle toggle
-/// activity, and each round's selected sites are grouped per cycle so the
-/// batched unit body (and its caches) still see one latch boundary at a
-/// time. Work units are (round, cycle) groups.
-fn delay_avf_campaign_adaptive<E: Environment + Clone, S: TelemetrySink>(
-    circuit: &Circuit,
-    topo: &Topology,
-    timing: &TimingModel,
-    golden: &GoldenRun<E>,
-    edges: &[EdgeId],
-    config: &CampaignConfig,
-    ctx: &RunContext<'_, S>,
-) -> Result<(Vec<DelayAvfResult>, InjectorStats), String> {
-    let (ci_target, buckets) = checked_adaptive(config.ci_target, config.strata)?;
-    let d = Driver::open(
-        "delay_sweep_adaptive",
-        circuit,
-        topo,
-        timing,
-        golden,
-        config.replay_options(),
-        ctx,
-        &edge_items(edges),
-        &config.delay_fractions,
-        config.compute_orace,
-    )?;
-    let nf = config.delay_fractions.len();
-    let ne = edges.len().max(1);
-    let toggles: Vec<u64> = d
-        .cycles
-        .iter()
-        .map(|&cycle| toggle_activity(golden, cycle))
-        .collect();
-    let slacks: Vec<u64> = edges
-        .iter()
-        .map(|&edge| edge_static_slack(timing, circuit, topo, edge))
-        .collect();
-    let tb = bucket_axis(&toggles, buckets);
-    let sb = bucket_axis(&slacks, buckets);
-    let site_stratum: Vec<usize> = (0..d.cycles.len() * edges.len())
-        .map(|site| sb[site % ne] * buckets + tb[site / ne])
-        .collect();
-    let mut plan = AdaptivePlan::new(
-        site_stratum,
-        buckets * buckets,
-        nf,
-        ci_target,
-        config.sample_seed,
-    );
-    let population = plan.population();
-    d.observe(population, || {
-        let mut rows = empty_rows(config);
-        let mut stats = InjectorStats::default();
-        let mut round: u64 = 0;
-        loop {
-            let sites = plan.next_round();
-            if sites.is_empty() {
-                break;
-            }
-            // Group the round's sites per cycle: the unit body batches one
-            // latch boundary, and grouping keeps per-unit work independent
-            // of how sites landed across strata.
-            let mut by_cycle: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-            for site in sites {
-                by_cycle.entry(site / ne).or_default().push(site % ne);
-            }
-            let groups: Vec<(usize, Vec<usize>)> = by_cycle.into_iter().collect();
-            let units = d.run(&groups, |w, (cyclepos, positions)| {
-                let cycle = d.cycles[*cyclepos];
-                let selected: Vec<EdgeId> = positions.iter().map(|&ei| edges[ei]).collect();
-                sweep_unit(
-                    &d,
-                    w,
-                    config,
-                    round_key(round, cycle),
-                    cycle,
-                    &selected,
-                    true,
-                )
-            })?;
-            let trials = vec![1u64; nf];
-            for ((cyclepos, positions), (unit_rows, vis, unit_stats)) in groups.iter().zip(&units) {
-                merge_rows(&mut rows, unit_rows);
-                stats.merge(unit_stats);
-                let width = positions.len();
-                for (j, &ei) in positions.iter().enumerate() {
-                    let hits: Vec<u64> = (0..nf).map(|fi| u64::from(vis[fi * width + j])).collect();
-                    plan.record(cyclepos * edges.len() + ei, &hits, &trials);
-                }
-            }
-            plan.finish_round();
-            round += 1;
-        }
-        stats.strata_active = plan.strata_active() as u64;
-        stats.strata_retired_early = plan.strata_retired_early() as u64;
-        stats.adaptive_replays_saved = ((population - plan.sampled_sites()) * nf) as u64;
-        for (fi, row) in rows.iter_mut().enumerate() {
-            row.adaptive = Some(adaptive_estimate(&plan, fi));
-        }
-        Ok((rows, stats))
-    })
-}
-
-/// Adaptive counterpart of [`savf_campaign_observed`]: sites are trace
-/// cycles stratified by toggle activity × trace phase; each sampled cycle
-/// runs the full per-bit strike unit, so the estimand is the same ACE
-/// fraction the uniform campaign reports.
-fn savf_campaign_adaptive<E: Environment + Clone, S: TelemetrySink>(
-    circuit: &Circuit,
-    topo: &Topology,
-    timing: &TimingModel,
-    golden: &GoldenRun<E>,
-    dffs: &[DffId],
-    opts: ReplayOptions,
-    ctx: &RunContext<'_, S>,
-) -> Result<(SavfResult, InjectorStats), String> {
-    let (ci_target, buckets) = checked_adaptive(opts.ci_target, opts.strata)?;
-    let d = Driver::open(
-        "savf_adaptive",
-        circuit,
-        topo,
-        timing,
-        golden,
-        opts,
-        ctx,
-        &dff_items(dffs),
-        &[],
-        false,
-    )?;
-    let mut plan = cycle_plan(&d, ci_target, buckets, 1);
-    let population = plan.population();
-    d.observe(population, || {
-        let mut result = SavfResult::default();
-        let mut stats = InjectorStats::default();
-        loop {
-            let sites = plan.next_round();
-            if sites.is_empty() {
-                break;
-            }
-            let units = d.run(&sites, |w, &site| savf_unit(&d, w, dffs, d.cycles[site]))?;
-            for (&site, (unit, unit_stats)) in sites.iter().zip(&units) {
-                result.merge(unit);
-                stats.merge(unit_stats);
-                plan.record(site, &[unit.ace_hits as u64], &[unit.injections as u64]);
-            }
-            plan.finish_round();
-        }
-        stats.strata_active = plan.strata_active() as u64;
-        stats.strata_retired_early = plan.strata_retired_early() as u64;
-        stats.adaptive_replays_saved = ((population - plan.sampled_sites()) * dffs.len()) as u64;
-        Ok((result, stats))
-    })
-}
-
-/// Adaptive counterpart of [`delay_avf_campaign_records_observed`]. The
-/// returned row carries the stratified estimate; records cover the sampled
-/// cycles only, in (round, cycle, edge) order.
-#[allow(clippy::too_many_arguments)]
-fn delay_avf_campaign_records_adaptive<E: Environment + Clone, S: TelemetrySink>(
-    circuit: &Circuit,
-    topo: &Topology,
-    timing: &TimingModel,
-    golden: &GoldenRun<E>,
-    edges: &[EdgeId],
-    fraction: f64,
-    opts: ReplayOptions,
-    ctx: &RunContext<'_, S>,
-) -> Result<(DelayAvfResult, Vec<InjectionRecord>), String> {
-    let (ci_target, buckets) = checked_adaptive(opts.ci_target, opts.strata)?;
-    let d = Driver::open(
-        "delay_records_adaptive",
-        circuit,
-        topo,
-        timing,
-        golden,
-        opts,
-        ctx,
-        &edge_items(edges),
-        &[fraction],
-        false,
-    )?;
-    let extra = fraction_to_picos(timing, fraction);
-    let mut plan = cycle_plan(&d, ci_target, buckets, 1);
-    d.observe(plan.population(), || {
-        let mut row = DelayAvfResult {
-            delay_fraction: fraction,
-            ..DelayAvfResult::default()
-        };
-        let mut records: Vec<InjectionRecord> = Vec::new();
-        loop {
-            let sites = plan.next_round();
-            if sites.is_empty() {
-                break;
-            }
-            let units = d.run(&sites, |w, &site| {
-                records_unit(&d, w, edges, extra, d.cycles[site])
-            })?;
-            for (&site, unit) in sites.iter().zip(units) {
-                for record in &unit {
-                    tally(&mut row, &record.outcome);
-                }
-                let hits = unit.iter().filter(|r| r.outcome.visible).count() as u64;
-                plan.record(site, &[hits], &[edges.len() as u64]);
-                records.extend(unit);
-            }
-            plan.finish_round();
-        }
-        row.adaptive = Some(adaptive_estimate(&plan, 0));
-        Ok((row, records))
-    })
-}
-
-/// Adaptive counterpart of [`savf_per_bit_campaign_observed`]: every bit
-/// is an estimand, and a cycle retires only when all bits' intervals are
-/// tight, so hotspot bits keep drawing budget.
-fn savf_per_bit_campaign_adaptive<E: Environment + Clone, S: TelemetrySink>(
-    circuit: &Circuit,
-    topo: &Topology,
-    timing: &TimingModel,
-    golden: &GoldenRun<E>,
-    dffs: &[DffId],
-    opts: ReplayOptions,
-    ctx: &RunContext<'_, S>,
-) -> Result<Vec<(DffId, SavfResult)>, String> {
-    let (ci_target, buckets) = checked_adaptive(opts.ci_target, opts.strata)?;
-    let d = Driver::open(
-        "savf_per_bit_adaptive",
-        circuit,
-        topo,
-        timing,
-        golden,
-        opts,
-        ctx,
-        &dff_items(dffs),
-        &[],
-        false,
-    )?;
-    let mut plan = cycle_plan(&d, ci_target, buckets, dffs.len().max(1));
-    d.observe(plan.population(), || {
-        let mut out: Vec<(DffId, SavfResult)> =
-            dffs.iter().map(|&d| (d, SavfResult::default())).collect();
-        let trials = vec![1u64; dffs.len().max(1)];
-        loop {
-            let sites = plan.next_round();
-            if sites.is_empty() {
-                break;
-            }
-            let units = d.run(&sites, |w, &site| per_bit_unit(&d, w, dffs, d.cycles[site]))?;
-            for (&site, flags) in sites.iter().zip(&units) {
-                tally_bits(&mut out, flags);
-                if dffs.is_empty() {
-                    plan.record(site, &[0], &[0]);
-                } else {
-                    let hits: Vec<u64> = flags.iter().map(|&v| u64::from(v)).collect();
-                    plan.record(site, &hits, &trials);
-                }
-            }
-            plan.finish_round();
-        }
-        Ok(out)
-    })
-}
-
-/// Adaptive counterpart of [`spatial_double_strike_campaign_observed`]:
-/// cycle sites, one estimand (the pairwise ACE fraction).
-fn spatial_double_strike_campaign_adaptive<E: Environment + Clone, S: TelemetrySink>(
-    circuit: &Circuit,
-    topo: &Topology,
-    timing: &TimingModel,
-    golden: &GoldenRun<E>,
-    dffs: &[DffId],
-    opts: ReplayOptions,
-    ctx: &RunContext<'_, S>,
-) -> Result<SavfResult, String> {
-    let (ci_target, buckets) = checked_adaptive(opts.ci_target, opts.strata)?;
-    let d = Driver::open(
-        "spatial_double_adaptive",
-        circuit,
-        topo,
-        timing,
-        golden,
-        opts,
-        ctx,
-        &dff_items(dffs),
-        &[],
-        false,
-    )?;
-    let mut plan = cycle_plan(&d, ci_target, buckets, 1);
-    d.observe(plan.population(), || {
-        let mut result = SavfResult::default();
-        loop {
-            let sites = plan.next_round();
-            if sites.is_empty() {
-                break;
-            }
-            let units = d.run(&sites, |w, &site| spatial_unit(&d, w, dffs, d.cycles[site]))?;
-            for (&site, unit) in sites.iter().zip(&units) {
-                result.merge(unit);
-                plan.record(site, &[unit.ace_hits as u64], &[unit.injections as u64]);
-            }
-            plan.finish_round();
-        }
-        Ok(result)
-    })
 }
 
 #[cfg(test)]
@@ -2443,16 +2105,9 @@ mod tests {
         let config = CampaignConfig {
             delay_fractions: vec![0.1, 0.5, 1.0],
             compute_orace: false,
-            due_slack: 30,
-            threads: 1,
-            incremental: true,
-            delta_timing: true,
-            lanes: 64,
-            timing_lanes: 64,
-            collapse: true,
-            ci_target: None,
-            strata: 4,
-            sample_seed: 7,
+            replay: ReplayOptions::new(30, 1)
+                .with_lanes(64)
+                .with_timing_lanes(64),
         };
         let rows = delay_avf_campaign(&c, &topo, &timing, &golden, &edges, &config);
         assert_eq!(rows.len(), 3);
@@ -2479,16 +2134,9 @@ mod tests {
         let config = CampaignConfig {
             delay_fractions: vec![0.9],
             compute_orace: true,
-            due_slack: 30,
-            threads: 1,
-            incremental: true,
-            delta_timing: true,
-            lanes: 64,
-            timing_lanes: 64,
-            collapse: true,
-            ci_target: None,
-            strata: 4,
-            sample_seed: 7,
+            replay: ReplayOptions::new(30, 1)
+                .with_lanes(64)
+                .with_timing_lanes(64),
         };
         let rows = delay_avf_campaign(&c, &topo, &timing, &golden, &edges, &config);
         let r = &rows[0];
@@ -2571,16 +2219,9 @@ mod tests {
         let config = CampaignConfig {
             delay_fractions: vec![0.2, 0.6, 1.0],
             compute_orace: true,
-            due_slack: 30,
-            threads: 1,
-            incremental: true,
-            delta_timing: true,
-            lanes: 64,
-            timing_lanes: 64,
-            collapse: true,
-            ci_target: None,
-            strata: 4,
-            sample_seed: 7,
+            replay: ReplayOptions::new(30, 1)
+                .with_lanes(64)
+                .with_timing_lanes(64),
         };
         let (serial_rows, serial_stats) =
             delay_avf_campaign_with_stats(&c, &topo, &timing, &golden, &edges, &config);
@@ -2772,8 +2413,7 @@ mod tests {
             let ctx = RunContext::new(&sink, None);
             let config = CampaignConfig {
                 delay_fractions: vec![0.5, 1.0],
-                due_slack: 30,
-                threads,
+                replay: ReplayOptions::new(30, threads),
                 ..CampaignConfig::default()
             };
             let (_, sweep_stats) =
@@ -2817,6 +2457,64 @@ mod tests {
         assert_eq!(resolve_threads(8, 2), 2);
         assert_eq!(resolve_threads(1, 0), 1);
         assert!(resolve_threads(0, 1_000_000) >= 1);
+    }
+
+    /// Every counter goes through the one field list: distinct values
+    /// survive the checkpoint codec, the telemetry line and merge/delta.
+    #[test]
+    fn counter_table_carries_every_field_everywhere() {
+        use crate::telemetry::{parse_flat_object, validate_line, JsonlTelemetry};
+        let mut n = 0u64;
+        let d = InjectorStats::try_from_fn(|_| {
+            n += 1;
+            Ok::<_, ()>(n * 1_000 + n)
+        })
+        .unwrap();
+        let values = d.values();
+        let mut distinct = values.to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), InjectorStats::NAMES.len());
+
+        let mut payload = String::new();
+        encode_stats(&mut payload, &d);
+        let mut t = Tokens::new(&payload);
+        assert_eq!(decode_stats(&mut t).unwrap(), d);
+        assert!(t.finished());
+
+        let sink = JsonlTelemetry::new(Vec::new());
+        sink.emit(&TelemetryEvent::StatsDelta { shard: 3, stats: d });
+        let line = String::from_utf8(sink.into_inner()).unwrap();
+        assert_eq!(validate_line(&line).unwrap(), "stats_delta");
+        let fields = parse_flat_object(&line).unwrap();
+        assert_eq!(fields.len(), 4 + InjectorStats::NAMES.len(), "{line}");
+        for (name, value) in InjectorStats::NAMES.iter().zip(values) {
+            let got = fields
+                .iter()
+                .find(|(k, _)| k == name)
+                .and_then(|(_, v)| v.as_num());
+            assert_eq!(got, Some(value as f64), "{name}");
+        }
+        // The validator requires the last counter too.
+        let last = InjectorStats::NAMES[InjectorStats::NAMES.len() - 1];
+        let cut = line.replace(&format!(",\"{last}\":{}", d.values()[values.len() - 1]), "");
+        assert!(validate_line(&cut).unwrap_err().contains(last));
+
+        let base = InjectorStats::try_from_fn(|_| Ok::<_, ()>(7)).unwrap();
+        let mut a = base;
+        a.merge(&d);
+        assert_eq!(a.delta_since(&base), d);
+    }
+
+    /// A class token is exactly one class character, in the records payload
+    /// and in the failure-cache entries alike.
+    #[test]
+    fn class_tokens_are_decoded_strictly() {
+        assert!(decode_records_unit("rec 1 5 0 S 0 fc 0", 3).is_ok());
+        let err = decode_records_unit("rec 1 5 0 SX 0 fc 0", 3).unwrap_err();
+        assert!(err.contains("bad failure class `SX`"), "{err}");
+        let err = decode_failures(&mut Tokens::new("fc 1 SX 1 2")).unwrap_err();
+        assert!(err.contains("bad failure class `SX`"), "{err}");
     }
 
     #[test]

@@ -21,37 +21,48 @@
 //! A plain-text, line-oriented format (the workspace is offline; no serde):
 //!
 //! ```text
-//! delayavf-checkpoint v2 <kind>
+//! delayavf-checkpoint v3 <kind>
 //! fingerprint <hex16>
 //! knobs <hex16>
-//! unit <key> <payload tokens...>
+//! unit <key> <fnv16> <payload tokens...>
 //! ...
 //! ```
 //!
 //! `kind` names the campaign flavor, `fingerprint` pins everything that
 //! determines the results (netlist + timing digest, golden trace, item
 //! list, fractions, DUE slack), and `knobs` pins the engine knobs that
-//! shape the *counters* without changing results (`lanes`, `incremental`,
-//! `delta_timing` — but **not** `threads`, which the stats are invariant
-//! to). Resuming against a file whose kind, fingerprint or knob hash
-//! differs fails with a pinned `checkpoint mismatch` error instead of
-//! silently merging foreign tallies.
+//! shape the *counters* without changing results: `lanes`,
+//! `timing_lanes`, `incremental`, `delta_timing` and `collapse`, plus the
+//! adaptive trio `ci_target`/`strata`/`sample_seed` when adaptive sampling
+//! is on — but **not** `threads`, which the stats are invariant to.
+//! Resuming against a file whose kind, fingerprint or knob hash differs
+//! fails with a pinned `checkpoint mismatch` error instead of silently
+//! merging foreign tallies.
+//!
+//! Each `unit` line carries its own checksum: `fnv16` is the hex
+//! [`Fingerprint`] of the unit key and the payload text, so a payload
+//! corrupted into digits that still parse (`12 3` read back as `92 3`) is
+//! a `checkpoint parse error` rather than a skewed report, and so is a
+//! unit key that appears twice.
 //!
 //! # Atomicity
 //!
 //! Flushes rewrite the whole file through a sibling temp file followed by
 //! [`std::fs::rename`] — on every mainstream platform a rename within one
 //! directory is atomic, so a crash leaves either the previous complete
-//! snapshot or the new one, never a torn file.
+//! snapshot or the new one, never a torn file. On unix the parent
+//! directory is fsynced after the rename, so the new directory entry
+//! itself survives a power loss.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Checkpoint file format version; bumped on any layout change. A version
 /// mismatch on resume is rejected like any other stale checkpoint.
-pub const CHECKPOINT_FORMAT_VERSION: u64 = 2;
+pub const CHECKPOINT_FORMAT_VERSION: u64 = 3;
 
 const MAGIC: &str = "delayavf-checkpoint";
 
@@ -209,9 +220,8 @@ impl CheckpointStore {
         self.fresh = 0;
         let mut text = String::with_capacity(self.header.len() + self.units.len() * 64);
         text.push_str(&self.header);
-        for (key, payload) in &self.units {
-            text.push_str("unit ");
-            text.push_str(&key.to_string());
+        for (&key, payload) in &self.units {
+            let _ = write!(text, "unit {key} {:016x}", unit_checksum(key, payload));
             if !payload.is_empty() {
                 text.push(' ');
                 text.push_str(payload);
@@ -226,8 +236,38 @@ impl CheckpointStore {
         };
         write(&tmp).map_err(|e| format!("cannot write checkpoint {}: {e}", tmp.display()))?;
         fs::rename(&tmp, &self.path)
-            .map_err(|e| format!("cannot publish checkpoint {}: {e}", self.path.display()))
+            .map_err(|e| format!("cannot publish checkpoint {}: {e}", self.path.display()))?;
+        sync_parent_dir(&self.path).map_err(|e| {
+            format!(
+                "cannot sync checkpoint directory of {}: {e}",
+                self.path.display()
+            )
+        })
     }
+}
+
+/// Makes a completed rename durable: the directory entry lives in the
+/// parent directory, which must be fsynced separately from the file.
+#[cfg(unix)]
+fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    fs::File::open(dir)?.sync_all()
+}
+
+#[cfg(not(unix))]
+fn sync_parent_dir(_path: &Path) -> std::io::Result<()> {
+    Ok(())
+}
+
+/// The per-line checksum of unit `key` with `payload`.
+fn unit_checksum(key: u64, payload: &str) -> u64 {
+    let mut f = Fingerprint::new();
+    f.write_u64(key);
+    f.write_bytes(payload.as_bytes());
+    f.finish()
 }
 
 fn sibling_tmp(path: &Path) -> PathBuf {
@@ -302,14 +342,28 @@ fn parse_checkpoint(
         let rest = line.strip_prefix("unit ").ok_or_else(|| {
             format!("checkpoint parse error in {shown}: unexpected line `{line}`")
         })?;
-        let (key_tok, payload) = match rest.split_once(' ') {
-            Some((k, p)) => (k, p),
-            None => (rest, ""),
-        };
+        let mut fields = rest.splitn(3, ' ');
+        let key_tok = fields.next().unwrap_or("");
+        let sum_tok = fields.next().unwrap_or("");
+        let payload = fields.next().unwrap_or("");
         let key: u64 = key_tok.parse().map_err(|e| {
             format!("checkpoint parse error in {shown}: bad unit key `{key_tok}`: {e}")
         })?;
-        units.insert(key, payload.to_owned());
+        let sum = u64::from_str_radix(sum_tok, 16).map_err(|e| {
+            format!(
+                "checkpoint parse error in {shown}: bad checksum `{sum_tok}` of unit {key}: {e}"
+            )
+        })?;
+        if sum != unit_checksum(key, payload) {
+            return Err(format!(
+                "checkpoint parse error in {shown}: unit {key} fails its checksum"
+            ));
+        }
+        if units.insert(key, payload.to_owned()).is_some() {
+            return Err(format!(
+                "checkpoint parse error in {shown}: duplicate unit {key}"
+            ));
+        }
     }
     Ok(units)
 }
@@ -428,14 +482,20 @@ mod tests {
     fn corrupt_files_are_parse_errors_not_silent_fresh_starts() {
         let dir = tmpdir();
         let path = dir.join("c.ckpt");
+        let v = CHECKPOINT_FORMAT_VERSION;
+        let head = format!(
+            "delayavf-checkpoint v{v} savf\nfingerprint 0000000000000007\nknobs 0000000000000009\n"
+        );
         for garbage in [
-            "",
-            "not a checkpoint\n",
-            "delayavf-checkpoint v999 savf\nfingerprint 0\nknobs 0\n",
-            "delayavf-checkpoint v2 savf\nfingerprint zz\nknobs 0\n",
-            "delayavf-checkpoint v2 savf\nfingerprint 0000000000000007\nknobs 0000000000000009\nwat\n",
+            String::new(),
+            "not a checkpoint\n".into(),
+            "delayavf-checkpoint v999 savf\nfingerprint 0\nknobs 0\n".into(),
+            format!("delayavf-checkpoint v{v} savf\nfingerprint zz\nknobs 0\n"),
+            format!("{head}wat\n"),
+            format!("{head}unit 5\n"),
+            format!("{head}unit 5 0000000000000000 1 1\n"),
         ] {
-            fs::write(&path, garbage).unwrap();
+            fs::write(&path, &garbage).unwrap();
             let resume = CheckpointSpec::new(&path, 1, true);
             let err = CheckpointStore::open(&resume, "savf", 7, 9).unwrap_err();
             assert!(
@@ -443,6 +503,49 @@ mod tests {
                 "unexpected error for {garbage:?}: {err}"
             );
         }
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// Writes a two-unit checkpoint and returns its path and text.
+    fn two_unit_file(dir: &Path) -> (PathBuf, String) {
+        let spec = CheckpointSpec::new(dir.join("d.ckpt"), 1, false);
+        let mut store = CheckpointStore::open(&spec, "savf", 7, 9).unwrap();
+        store.record(4, "12 3 stats 1".into()).unwrap();
+        store.record(6, String::new()).unwrap();
+        let text = fs::read_to_string(&spec.path).unwrap();
+        (spec.path, text)
+    }
+
+    fn resume_err(path: &Path) -> String {
+        CheckpointStore::open(&CheckpointSpec::new(path, 1, true), "savf", 7, 9).unwrap_err()
+    }
+
+    #[test]
+    fn a_payload_digit_corrupted_into_another_number_fails_its_checksum() {
+        let dir = tmpdir();
+        let (path, text) = two_unit_file(&dir);
+        assert!(text.contains(" 12 3 stats 1\n"), "{text}");
+        fs::write(&path, text.replace(" 12 3 ", " 92 3 ")).unwrap();
+        let err = resume_err(&path);
+        assert!(
+            err.contains("checkpoint parse error") && err.contains("unit 4 fails its checksum"),
+            "{err}"
+        );
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn a_duplicated_unit_line_is_a_parse_error() {
+        let dir = tmpdir();
+        let (path, mut text) = two_unit_file(&dir);
+        let line = text.lines().find(|l| l.starts_with("unit 6 ")).unwrap();
+        text.push_str(&format!("{line}\n"));
+        fs::write(&path, text).unwrap();
+        let err = resume_err(&path);
+        assert!(
+            err.contains("checkpoint parse error") && err.contains("duplicate unit 6"),
+            "{err}"
+        );
         fs::remove_dir_all(dir).unwrap();
     }
 

@@ -167,26 +167,84 @@ pub struct Injector<'a, E: Environment + Clone> {
     pub stats: InjectorStats,
 }
 
-/// Engine counters: how often each §V-C optimization fired.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct InjectorStats {
+/// Declares [`InjectorStats`] from one list of counter fields and derives
+/// everything that walks the list: [`InjectorStats::NAMES`],
+/// [`InjectorStats::values`], [`InjectorStats::try_from_fn`],
+/// [`InjectorStats::merge`] and [`InjectorStats::delta_since`]. The
+/// checkpoint codec and the telemetry schema are built on these, so adding
+/// a counter is one line in the invocation below.
+macro_rules! injector_stats {
+    ($($(#[$doc:meta])* $field:ident,)*) => {
+        /// Engine counters: how often each §V-C optimization fired.
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct InjectorStats {
+            $($(#[$doc])* pub $field: u64,)*
+        }
+
+        /// Number of [`InjectorStats`] counters.
+        const STATS_COUNT: usize = [$(stringify!($field)),*].len();
+
+        impl InjectorStats {
+            /// Counter names in canonical order: the field order of the
+            /// telemetry `stats_delta` event and of checkpoint payloads.
+            pub const NAMES: [&'static str; STATS_COUNT] = [$(stringify!($field)),*];
+
+            /// Counter values in [`InjectorStats::NAMES`] order.
+            pub fn values(&self) -> [u64; STATS_COUNT] {
+                [$(self.$field),*]
+            }
+
+            /// Builds counters by asking `value` for each name in
+            /// [`InjectorStats::NAMES`] order, stopping at the first error.
+            pub fn try_from_fn<E>(
+                mut value: impl FnMut(&'static str) -> Result<u64, E>,
+            ) -> Result<Self, E> {
+                Ok(InjectorStats {
+                    $($field: value(stringify!($field))?,)*
+                })
+            }
+
+            /// Adds another worker's counters into this one.
+            ///
+            /// The campaign engine's work units are whole cycles and every
+            /// cache key is scoped to a single latch boundary, so cache
+            /// hit/miss counts are partition-independent: the merged totals
+            /// are identical to a serial run's for any thread count.
+            pub fn merge(&mut self, other: &InjectorStats) {
+                $(self.$field += other.$field;)*
+            }
+
+            /// The field-wise difference `self - baseline`. Counters only
+            /// ever grow, so a snapshot taken before a work unit subtracted
+            /// from one taken after yields exactly that unit's contribution
+            /// — the quantity the checkpoint and telemetry layers record.
+            pub fn delta_since(&self, baseline: &InjectorStats) -> InjectorStats {
+                InjectorStats {
+                    $($field: self.$field - baseline.$field,)*
+                }
+            }
+        }
+    };
+}
+
+injector_stats! {
     /// Injections rejected because no path through the edge exceeds the
     /// clock period even with the fault.
-    pub static_filtered: u64,
+    static_filtered,
     /// Injections rejected because no fan-in source of the faulted edge
     /// toggles in the cycle.
-    pub toggle_filtered: u64,
+    toggle_filtered,
     /// Timing-aware (event-driven) simulations actually run.
-    pub event_sims: u64,
+    event_sims,
     /// Timing-agnostic replays actually run (cache misses).
-    pub replays: u64,
+    replays,
     /// Replay results served from the cache.
-    pub replay_cache_hits: u64,
+    replay_cache_hits,
     /// Cycles stepped across all replays (incremental and full alike); the
     /// incremental engine is bit-for-bit exact, so this count is identical
     /// in both modes and `gates_evaluated` can be compared against
     /// `replay_cycles * num_gates`, the work a full replay would do.
-    pub replay_cycles: u64,
+    replay_cycles,
     /// Faulty-cone gate evaluations performed by the incremental replay
     /// engine. The divergence cone of a replay is fully determined by its
     /// boundary and flips, so this counter is thread-count invariant like
@@ -194,67 +252,67 @@ pub struct InjectorStats {
     /// settle is computed once per injector and shared by every replay
     /// crossing it, amortizing to one golden run. Zero when incremental
     /// replay is disabled.
-    pub gates_evaluated: u64,
+    gates_evaluated,
     /// Replays served by the incremental divergence-cone engine.
-    pub incremental_replays: u64,
+    incremental_replays,
     /// Incremental replays that ran past the end of the golden trace and
     /// finished on the full simulator (no golden baseline to diff against).
-    pub full_replay_fallbacks: u64,
+    full_replay_fallbacks,
     /// Bit-parallel batch replays executed (each covers up to `lanes`
     /// scenarios). Zero when `lanes <= 1`. Depends on the configured lane
     /// width — fewer, fuller batches at higher widths — but not on the
     /// thread count for cycle-unit campaigns.
-    pub batched_replays: u64,
+    batched_replays,
     /// Scenario lanes actually occupied across all batch replays: the
     /// number of distinct uncached scenarios retired through the batch
     /// engine. Invariant across lane widths > 1 (deduplication and cache
     /// checks happen before lane chunking) and across thread counts for
     /// cycle-unit campaigns.
-    pub lanes_occupied: u64,
+    lanes_occupied,
     /// Total lane slots *scheduled* across all batch replays (the sum of
     /// chunk sizes, not `batched_replays * lanes` — a partially-filled
     /// final chunk contributes only the slots it actually carries); the
     /// denominator of [`InjectorStats::lane_utilization`]. Invariant across
     /// lane widths > 1 and thread counts, like `lanes_occupied`.
-    pub lane_slots: u64,
+    lane_slots,
     /// Fault-free timed waveforms simulated and cached by the incremental
     /// timing-aware engine — one per distinct trace cycle that reached the
     /// event-simulation stage. Campaigns iterate cycle-outer/edge-inner and
     /// the campaign engine's work units are whole cycles, so this count is
     /// thread-count invariant. Zero when delta timing is disabled.
-    pub golden_waveform_builds: u64,
+    golden_waveform_builds,
     /// Merged waveform time-steps processed by the delta engine across all
     /// gate re-evaluations in faulty cones. The divergence cone of an
     /// injection is fully determined by the struck edge and the golden
     /// waveforms, so this counter is thread-count invariant too.
-    pub delta_events: u64,
+    delta_events,
     /// Gates whose recomputed faulty output waveform reconverged with the
     /// cached golden waveform, pruning their entire downstream cone from the
     /// delta simulation.
-    pub delta_early_exits: u64,
+    delta_early_exits,
     /// Timing-aware simulations that ran on the full event simulator because
     /// delta timing was disabled (the `--no-delta-timing` escape hatch).
     /// Zero when delta timing is enabled.
-    pub full_event_fallbacks: u64,
+    full_event_fallbacks,
     /// Lane-packed timing-aware batch replays executed (each covers up to
     /// `timing_lanes` `(edge, extra)` scenarios at one trace cycle). Zero
     /// when `timing_lanes <= 1` or delta timing is disabled. Depends on the
     /// configured timing lane width — fewer, fuller batches at higher widths
     /// — but not on the thread count for cycle-unit campaigns.
-    pub batched_timing_replays: u64,
+    batched_timing_replays,
     /// Scenario lanes actually occupied across all timing-aware batch
     /// replays: the number of injections whose step-1 simulation rode a
     /// packed batch. Invariant across timing lane widths > 1 (the static and
     /// toggle pre-filters run before lane chunking) and across thread counts
     /// for cycle-unit campaigns.
-    pub timing_lanes_occupied: u64,
+    timing_lanes_occupied,
     /// Total lane slots *scheduled* across all timing-aware batch replays
     /// (the sum of chunk sizes, not `batched_timing_replays *
     /// timing_lanes` — a partially-filled final chunk contributes only the
     /// slots it actually carries); the denominator of
     /// [`InjectorStats::timing_lane_utilization`]. Invariant across timing
     /// lane widths > 1 and thread counts, like `timing_lanes_occupied`.
-    pub timing_lane_slots: u64,
+    timing_lane_slots,
     /// Injections served without their own timing-aware simulation by the
     /// collapsing layer: queries on a member edge redirected to its
     /// equivalence-class representative, plus queries discharged by the
@@ -264,14 +322,14 @@ pub struct InjectorStats {
     /// plan and the golden trace alone, so the count is thread-count and
     /// lane-width invariant for cycle-unit campaigns. Zero when
     /// collapsing is disabled.
-    pub collapsed_edges: u64,
+    collapsed_edges,
     /// Representative simulations actually run on behalf of an equivalence
     /// class (one per distinct `(representative, extra)` pair per cycle),
     /// plus fault-free golden waveform builds for the quiet-source
     /// certificate (at most one per cycle). Thread-count and lane-width
     /// invariant like [`InjectorStats::collapsed_edges`]. Zero when
     /// collapsing is disabled.
-    pub class_representatives: u64,
+    class_representatives,
     /// Flip groups the semi-formal masking check classified as a
     /// program-visible failure (SDC) without any replay: their exact
     /// propagated difference cone provably corrupts an observed output word
@@ -279,7 +337,7 @@ pub struct InjectorStats {
     /// `(boundary, flip set)` discharged, so the total is thread-count and
     /// lane-width invariant for cycle-unit campaigns. Zero when
     /// collapsing is disabled.
-    pub formally_discharged_ace: u64,
+    formally_discharged_ace,
     /// Flip groups the semi-formal masking check classified as Masked
     /// without any replay: the flipped bits can never reach a primary
     /// output, or their exact propagated difference cone dies out (or runs
@@ -287,97 +345,25 @@ pub struct InjectorStats {
     /// per distinct `(boundary, flip set)` like
     /// [`InjectorStats::formally_discharged_ace`]. Zero when collapsing is
     /// disabled.
-    pub formally_discharged_unace: u64,
+    formally_discharged_unace,
     /// Strata with at least one injection site in the adaptive sampling
     /// plan. Stratification is a pure function of the golden trace and the
     /// static timing table, so the count is thread-count and lane-width
     /// invariant. Zero when adaptive sampling is off.
-    pub strata_active: u64,
+    strata_active,
     /// Strata the adaptive plan retired before exhausting their sites
     /// because every estimand's Wilson interval was already within the
     /// target half-width. Retirement decisions are pure functions of the
     /// merged round tallies, so the count is thread-count and lane-width
     /// invariant. Zero when adaptive sampling is off.
-    pub strata_retired_early: u64,
+    strata_retired_early,
     /// Injections the adaptive plan never ran: the unsampled site count
     /// times the per-site injection multiplier. Zero when adaptive
     /// sampling is off (the uniform path visits every site).
-    pub adaptive_replays_saved: u64,
+    adaptive_replays_saved,
 }
 
 impl InjectorStats {
-    /// Adds another worker's counters into this one.
-    ///
-    /// The campaign engine's work units are whole cycles and every
-    /// cache key is scoped to a single latch boundary, so cache hit/miss
-    /// counts are partition-independent: the merged totals are identical to
-    /// a serial run's for any thread count.
-    pub fn merge(&mut self, other: &InjectorStats) {
-        self.static_filtered += other.static_filtered;
-        self.toggle_filtered += other.toggle_filtered;
-        self.event_sims += other.event_sims;
-        self.replays += other.replays;
-        self.replay_cache_hits += other.replay_cache_hits;
-        self.replay_cycles += other.replay_cycles;
-        self.gates_evaluated += other.gates_evaluated;
-        self.incremental_replays += other.incremental_replays;
-        self.full_replay_fallbacks += other.full_replay_fallbacks;
-        self.batched_replays += other.batched_replays;
-        self.lanes_occupied += other.lanes_occupied;
-        self.lane_slots += other.lane_slots;
-        self.golden_waveform_builds += other.golden_waveform_builds;
-        self.delta_events += other.delta_events;
-        self.delta_early_exits += other.delta_early_exits;
-        self.full_event_fallbacks += other.full_event_fallbacks;
-        self.batched_timing_replays += other.batched_timing_replays;
-        self.timing_lanes_occupied += other.timing_lanes_occupied;
-        self.timing_lane_slots += other.timing_lane_slots;
-        self.collapsed_edges += other.collapsed_edges;
-        self.class_representatives += other.class_representatives;
-        self.formally_discharged_ace += other.formally_discharged_ace;
-        self.formally_discharged_unace += other.formally_discharged_unace;
-        self.strata_active += other.strata_active;
-        self.strata_retired_early += other.strata_retired_early;
-        self.adaptive_replays_saved += other.adaptive_replays_saved;
-    }
-
-    /// The field-wise difference `self - baseline`. Counters only ever
-    /// grow, so a snapshot taken before a work unit subtracted from one
-    /// taken after yields exactly that unit's contribution — the quantity
-    /// the checkpoint and telemetry layers record.
-    pub fn delta_since(&self, baseline: &InjectorStats) -> InjectorStats {
-        InjectorStats {
-            static_filtered: self.static_filtered - baseline.static_filtered,
-            toggle_filtered: self.toggle_filtered - baseline.toggle_filtered,
-            event_sims: self.event_sims - baseline.event_sims,
-            replays: self.replays - baseline.replays,
-            replay_cache_hits: self.replay_cache_hits - baseline.replay_cache_hits,
-            replay_cycles: self.replay_cycles - baseline.replay_cycles,
-            gates_evaluated: self.gates_evaluated - baseline.gates_evaluated,
-            incremental_replays: self.incremental_replays - baseline.incremental_replays,
-            full_replay_fallbacks: self.full_replay_fallbacks - baseline.full_replay_fallbacks,
-            batched_replays: self.batched_replays - baseline.batched_replays,
-            lanes_occupied: self.lanes_occupied - baseline.lanes_occupied,
-            lane_slots: self.lane_slots - baseline.lane_slots,
-            golden_waveform_builds: self.golden_waveform_builds - baseline.golden_waveform_builds,
-            delta_events: self.delta_events - baseline.delta_events,
-            delta_early_exits: self.delta_early_exits - baseline.delta_early_exits,
-            full_event_fallbacks: self.full_event_fallbacks - baseline.full_event_fallbacks,
-            batched_timing_replays: self.batched_timing_replays - baseline.batched_timing_replays,
-            timing_lanes_occupied: self.timing_lanes_occupied - baseline.timing_lanes_occupied,
-            timing_lane_slots: self.timing_lane_slots - baseline.timing_lane_slots,
-            collapsed_edges: self.collapsed_edges - baseline.collapsed_edges,
-            class_representatives: self.class_representatives - baseline.class_representatives,
-            formally_discharged_ace: self.formally_discharged_ace
-                - baseline.formally_discharged_ace,
-            formally_discharged_unace: self.formally_discharged_unace
-                - baseline.formally_discharged_unace,
-            strata_active: self.strata_active - baseline.strata_active,
-            strata_retired_early: self.strata_retired_early - baseline.strata_retired_early,
-            adaptive_replays_saved: self.adaptive_replays_saved - baseline.adaptive_replays_saved,
-        }
-    }
-
     /// Mean lane occupancy of the batch replays (`lanes_occupied /
     /// lane_slots`), in `[0, 1]`. Zero when no batch ran. Slots are counted
     /// as *scheduled* (chunk sizes), so a workload smaller than the

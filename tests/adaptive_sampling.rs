@@ -67,16 +67,10 @@ fn config(ci_target: Option<f64>, threads: usize) -> CampaignConfig {
     CampaignConfig {
         delay_fractions: vec![0.5, 0.9],
         compute_orace: false,
-        due_slack: 30,
-        threads,
-        incremental: true,
-        delta_timing: true,
-        lanes: 64,
-        timing_lanes: 64,
-        collapse: true,
-        ci_target,
-        strata: 4,
-        sample_seed: 7,
+        replay: ReplayOptions::new(30, threads)
+            .with_lanes(64)
+            .with_timing_lanes(64)
+            .with_ci_target(ci_target),
     }
 }
 
@@ -239,11 +233,7 @@ fn adaptive_intervals_contain_the_exhaustive_value_across_seeds() {
     let exact: Vec<f64> = uniform.iter().map(|r| r.delay_avf()).collect();
     let mut any_early = false;
     for seed in 0..25u64 {
-        let cfg = CampaignConfig {
-            sample_seed: seed,
-            threads: 0,
-            ..config(Some(0.1), 0)
-        };
+        let cfg = config(Some(0.1), 0).with_threads(0).with_sample_seed(seed);
         let (rows, stats) = delay_avf_campaign_with_stats(
             &f.circuit, &f.topo, &f.timing, &f.golden, &f.edges, &cfg,
         );
@@ -310,11 +300,9 @@ fn adaptive_saves_replays_at_a_moderate_target() {
 fn adaptive_reports_are_thread_and_lane_invariant() {
     let f = fixture(24);
     let run = |threads: usize, lanes: usize, timing_lanes: usize| {
-        let cfg = CampaignConfig {
-            lanes,
-            timing_lanes,
-            ..config(Some(0.08), threads)
-        };
+        let cfg = config(Some(0.08), threads)
+            .with_lanes(lanes)
+            .with_timing_lanes(timing_lanes);
         let sweep = delay_avf_campaign_with_stats(
             &f.circuit, &f.topo, &f.timing, &f.golden, &f.edges, &cfg,
         );

@@ -22,7 +22,8 @@ use delayavf::{
     delay_avf_campaign_with_stats, prepare_golden_seeded, sample_edges, savf_campaign_observed,
     savf_campaign_with_stats, savf_per_bit_campaign, savf_per_bit_campaign_observed,
     spatial_double_strike_campaign, spatial_double_strike_campaign_observed, valid_cycles,
-    CampaignConfig, CheckpointSpec, GoldenRun, ReplayOptions, RunContext, NULL_TELEMETRY,
+    CampaignConfig, CheckpointSpec, GoldenRun, ReplayOptions, RunContext,
+    CHECKPOINT_FORMAT_VERSION, NULL_TELEMETRY,
 };
 use delayavf_netlist::{DffId, Topology};
 use delayavf_rvcore::{Core, CoreConfig, MemEnv, DEFAULT_RAM_BYTES};
@@ -123,16 +124,9 @@ fn resumed_reports_are_byte_identical_across_the_threads_by_lanes_grid() {
     let base_config = CampaignConfig {
         delay_fractions: vec![0.9, 1.0],
         compute_orace: true,
-        due_slack: 500,
-        threads: 1,
-        incremental: true,
-        delta_timing: true,
-        lanes: 64,
-        timing_lanes: 64,
-        collapse: true,
-        ci_target: None,
-        strata: 4,
-        sample_seed: 7,
+        replay: ReplayOptions::new(500, 1)
+            .with_lanes(64)
+            .with_timing_lanes(64),
     };
 
     for (threads, lanes) in [(1usize, 64usize), (2, 1), (4, 64)] {
@@ -346,16 +340,10 @@ fn adaptive_checkpoints_resume_byte_identical_and_reject_knob_drift() {
     let config = CampaignConfig {
         delay_fractions: vec![0.9, 1.0],
         compute_orace: false,
-        due_slack: 500,
-        threads: 2,
-        incremental: true,
-        delta_timing: true,
-        lanes: 64,
-        timing_lanes: 64,
-        collapse: true,
-        ci_target: Some(0.15),
-        strata: 4,
-        sample_seed: 7,
+        replay: ReplayOptions::new(500, 2)
+            .with_lanes(64)
+            .with_timing_lanes(64)
+            .with_ci_target(Some(0.15)),
     };
 
     // ---- Kill-and-resume on the adaptive sweep -------------------------
@@ -406,27 +394,9 @@ fn adaptive_checkpoints_resume_byte_identical_and_reject_knob_drift() {
 
     // ---- Sampling-policy drift is identity drift -----------------------
     for (label, other) in [
-        (
-            "ci_target",
-            CampaignConfig {
-                ci_target: Some(0.1),
-                ..config.clone()
-            },
-        ),
-        (
-            "strata",
-            CampaignConfig {
-                strata: 8,
-                ..config.clone()
-            },
-        ),
-        (
-            "sample_seed",
-            CampaignConfig {
-                sample_seed: 8,
-                ..config.clone()
-            },
-        ),
+        ("ci_target", config.clone().with_ci_target(Some(0.1))),
+        ("strata", config.clone().with_strata(8)),
+        ("sample_seed", config.clone().with_sample_seed(8)),
     ] {
         let err = delay_avf_campaign_observed(
             &s.core.circuit,
@@ -445,10 +415,7 @@ fn adaptive_checkpoints_resume_byte_identical_and_reject_knob_drift() {
     }
 
     // Turning adaptive sampling off entirely changes the campaign kind.
-    let uniform = CampaignConfig {
-        ci_target: None,
-        ..config.clone()
-    };
+    let uniform = config.clone().with_ci_target(None);
     let err = delay_avf_campaign_observed(
         &s.core.circuit,
         &s.topo,
@@ -565,16 +532,9 @@ fn stale_or_foreign_checkpoints_are_rejected_not_merged() {
     let config = CampaignConfig {
         delay_fractions: vec![0.9],
         compute_orace: false,
-        due_slack: 500,
-        threads: 2,
-        incremental: true,
-        delta_timing: true,
-        lanes: 64,
-        timing_lanes: 64,
-        collapse: true,
-        ci_target: None,
-        strata: 4,
-        sample_seed: 7,
+        replay: ReplayOptions::new(500, 2)
+            .with_lanes(64)
+            .with_timing_lanes(64),
     };
     let path = dir.join("sweep.ckpt");
     delay_avf_campaign_observed(
@@ -685,7 +645,8 @@ fn stale_or_foreign_checkpoints_are_rejected_not_merged() {
 
     // A torn file (no atomic rename ever produces one, but disks lie) is a
     // loud parse error, not a silent fresh start.
-    fs::write(&path, "delayavf-checkpoint v2 delay_sweep\nfingerpri").unwrap();
+    let torn = format!("delayavf-checkpoint v{CHECKPOINT_FORMAT_VERSION} delay_sweep\nfingerpri");
+    fs::write(&path, torn).unwrap();
     let err = delay_avf_campaign_observed(
         &s.core.circuit,
         &s.topo,
@@ -750,9 +711,7 @@ fn non_contiguous_checkpoints_resume_byte_identically_at_any_thread_count() {
     let config = CampaignConfig {
         delay_fractions: vec![0.9],
         compute_orace: true,
-        due_slack: 500,
-        threads: 1,
-        ..CampaignConfig::default()
+        replay: ReplayOptions::new(500, 1),
     };
     let opts = ReplayOptions::new(500, 1);
 
@@ -810,8 +769,9 @@ fn non_contiguous_checkpoints_resume_byte_identically_at_any_thread_count() {
     // one class per cycle — must be rejected, not merged.
     let old = dir.join("perbit-bit-keyed.ckpt");
     let classes = "M".repeat(valid_cycles(&s.golden).len());
-    let mut text =
-        String::from("delayavf-checkpoint v2 savf_per_bit\nfingerprint 0123456789abcdef\n");
+    let mut text = format!(
+        "delayavf-checkpoint v{CHECKPOINT_FORMAT_VERSION} savf_per_bit\nfingerprint 0123456789abcdef\n"
+    );
     text.push_str("knobs 0123456789abcdef\n");
     for d in &dffs {
         text.push_str(&format!("unit {} cls .{classes}\n", d.index()));

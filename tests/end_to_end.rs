@@ -45,16 +45,9 @@ fn campaign_invariants_hold_on_the_real_core() {
     let config = CampaignConfig {
         delay_fractions: vec![0.1, 0.5, 0.9],
         compute_orace: false,
-        due_slack: 500,
-        threads: 0,
-        incremental: true,
-        delta_timing: true,
-        lanes: 64,
-        timing_lanes: 64,
-        collapse: true,
-        ci_target: None,
-        strata: 4,
-        sample_seed: 7,
+        replay: ReplayOptions::new(500, 0)
+            .with_lanes(64)
+            .with_timing_lanes(64),
     };
     let rows = delay_avf_campaign(
         &s.core.circuit,

@@ -60,16 +60,9 @@ fn all_campaigns_are_thread_count_invariant_on_the_real_core() {
     let config = CampaignConfig {
         delay_fractions: vec![0.5, 0.9],
         compute_orace: true,
-        due_slack: 500,
-        threads: 1,
-        incremental: true,
-        delta_timing: true,
-        lanes: 64,
-        timing_lanes: 64,
-        collapse: true,
-        ci_target: None,
-        strata: 4,
-        sample_seed: 7,
+        replay: ReplayOptions::new(500, 1)
+            .with_lanes(64)
+            .with_timing_lanes(64),
     };
     let serial_opts = ReplayOptions::new(500, 1);
     let (serial_rows, serial_stats) = delay_avf_campaign_with_stats(
@@ -236,11 +229,9 @@ fn adaptive_campaigns_are_thread_count_invariant_on_the_real_core() {
         let config = CampaignConfig {
             delay_fractions: vec![0.5, 0.9],
             compute_orace: true,
-            due_slack: 500,
-            threads,
-            ci_target: Some(0.15),
-            strata: 2,
-            ..CampaignConfig::default()
+            replay: ReplayOptions::new(500, threads)
+                .with_ci_target(Some(0.15))
+                .with_strata(2),
         };
         let opts = ReplayOptions::new(500, threads)
             .with_ci_target(Some(0.15))
@@ -296,16 +287,9 @@ fn batch_counters_are_thread_invariant_at_every_lane_width() {
     let config = CampaignConfig {
         delay_fractions: vec![0.9, 1.0],
         compute_orace: true,
-        due_slack: 500,
-        threads: 1,
-        incremental: true,
-        delta_timing: true,
-        lanes: 64,
-        timing_lanes: 64,
-        collapse: true,
-        ci_target: None,
-        strata: 4,
-        sample_seed: 7,
+        replay: ReplayOptions::new(500, 1)
+            .with_lanes(64)
+            .with_timing_lanes(64),
     };
     let (base_rows, _) = delay_avf_campaign_with_stats(
         &s.core.circuit,
@@ -422,16 +406,9 @@ fn collapse_counters_are_thread_and_lane_invariant() {
     let config = CampaignConfig {
         delay_fractions: vec![0.9, 1.0],
         compute_orace: true,
-        due_slack: 500,
-        threads: 1,
-        incremental: true,
-        delta_timing: true,
-        lanes: 64,
-        timing_lanes: 64,
-        collapse: true,
-        ci_target: None,
-        strata: 4,
-        sample_seed: 7,
+        replay: ReplayOptions::new(500, 1)
+            .with_lanes(64)
+            .with_timing_lanes(64),
     };
     let (base_rows, base_stats) = delay_avf_campaign_with_stats(
         &s.core.circuit,
@@ -529,16 +506,9 @@ fn timing_batch_counters_are_thread_invariant_at_every_lane_width() {
     let config = CampaignConfig {
         delay_fractions: vec![0.9, 1.0],
         compute_orace: true,
-        due_slack: 500,
-        threads: 1,
-        incremental: true,
-        delta_timing: true,
-        lanes: 64,
-        timing_lanes: 64,
-        collapse: true,
-        ci_target: None,
-        strata: 4,
-        sample_seed: 7,
+        replay: ReplayOptions::new(500, 1)
+            .with_lanes(64)
+            .with_timing_lanes(64),
     };
     let (base_rows, _) = delay_avf_campaign_with_stats(
         &s.core.circuit,

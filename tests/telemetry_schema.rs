@@ -94,16 +94,9 @@ fn campaign_telemetry_validates_and_never_changes_results() {
     let config = CampaignConfig {
         delay_fractions: vec![0.9],
         compute_orace: true,
-        due_slack: 500,
-        threads: 2,
-        incremental: true,
-        delta_timing: true,
-        lanes: 64,
-        timing_lanes: 64,
-        collapse: true,
-        ci_target: None,
-        strata: 4,
-        sample_seed: 7,
+        replay: ReplayOptions::new(500, 2)
+            .with_lanes(64)
+            .with_timing_lanes(64),
     };
 
     let want =
@@ -223,8 +216,7 @@ fn stats_deltas_sum_to_the_returned_counters() {
         let ctx = RunContext::new(&sink, None);
         let config = CampaignConfig {
             delay_fractions: vec![0.9],
-            due_slack: 500,
-            threads,
+            replay: ReplayOptions::new(500, threads),
             ..CampaignConfig::default()
         };
         let opts = ReplayOptions::new(500, threads);
